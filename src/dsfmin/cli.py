@@ -9,7 +9,8 @@ Model files are JSON with a ``kind`` discriminator:
 * ``dsf_pole_residue``  {"kind": "dsf_pole_residue", "poles": [..],
                          "KQ": [[[..]]], "KP": [[[..]]]}
 
-Any file may carry a ``tolerances`` object overriding the defaults.
+Any file may carry a ``tolerances`` object; its values override both the
+defaults and the command-line flags.
 Exit codes: 0 success, 1 verification failure, 2 assumption violation,
 3 I/O or schema error.
 """
@@ -37,7 +38,7 @@ from .errors import (
     RankDeficientC,
     SchemaError,
 )
-from .minreal import EDGE_RULES, FREE_VALUE, minreal_pipeline
+from .minreal import EDGE_RULES, FREE_VALUE, TOL_ORTH, minreal_pipeline
 from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
@@ -118,8 +119,12 @@ def parse_model(path: str) -> ModelFile:
     tols = raw.get("tolerances") or {}
     if not isinstance(tols, dict) or any(k not in TOL_FLAGS for k in tols):
         raise SchemaError(f"{path}: tolerances must be a subset of {TOL_FLAGS}")
-    tol_pole = float(tols.get("tol_pole", TOL_POLE))
-    tol_root = float(tols.get("tol_root", TOL_ROOT))
+    try:
+        tols = {key: float(value) for key, value in tols.items()}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: tolerances must be numbers") from exc
+    tol_pole = tols.get("tol_pole", TOL_POLE)
+    tol_root = tols.get("tol_root", TOL_ROOT)
 
     if kind == "state_space":
         for key in ("A", "B"):
@@ -159,15 +164,7 @@ def parse_model(path: str) -> ModelFile:
                 raise SchemaError(f'{path}: dsf_coeff requires "{key}"')
         Q = _rmat_from_json(raw["Q"], f"{path}: Q", tol_root)
         P = _rmat_from_json(raw["P"], f"{path}: P", tol_root)
-        try:
-            d = DSF(Q, P, tol_pole)
-        except (ValueError, DsfminError) as exc:
-            if isinstance(exc, AssumptionError):
-                raise
-            raise SchemaError(f"{path}: {exc}") from exc
-        return ModelFile("dsf_coeff", dsf=d, tolerances=tols)
-
-    if kind == "dsf_pole_residue":
+    elif kind == "dsf_pole_residue":
         for key in ("poles", "KQ", "KP"):
             if key not in raw:
                 raise SchemaError(f'{path}: dsf_pole_residue requires "{key}"')
@@ -187,19 +184,25 @@ def parse_model(path: str) -> ModelFile:
             P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((p, KP[0].shape[1]))))
         except DsfminError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-        try:
-            d = DSF(Q, P, tol_pole)
-        except (ValueError, DsfminError) as exc:
-            if isinstance(exc, AssumptionError):
-                raise
-            raise SchemaError(f"{path}: {exc}") from exc
-        return ModelFile("dsf_pole_residue", dsf=d, tolerances=tols)
+    else:
+        raise SchemaError(f"{path}: unknown kind {kind!r}")
+    try:
+        d = DSF(Q, P, tol_pole)
+    except AssumptionError:
+        raise
+    except (ValueError, DsfminError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return ModelFile(kind, dsf=d, tolerances=tols)
 
-    raise SchemaError(f"{path}: unknown kind {kind!r}")
+
+def _resolve_tolerances(args, model: ModelFile) -> dict:
+    """The command's tolerance flags, with the model file's values over them."""
+    tols = {key: getattr(args, key) for key in TOL_FLAGS if hasattr(args, key)}
+    tols.update((key, v) for key, v in model.tolerances.items() if key in tols)
+    return tols
 
 
-def model_to_dsf(model: ModelFile) -> DSF:
-    tol_pole = float((model.tolerances or {}).get("tol_pole", TOL_POLE))
+def model_to_dsf(model: ModelFile, tol_pole: float) -> DSF:
     if model.dsf is not None:
         return model.dsf
     return compute_dsf(model.part, tol_pole)
@@ -352,19 +355,11 @@ def render_adjacency(nodes, edges) -> str:
 # -- commands ---------------------------------------------------------------
 
 
-def _pipeline_kwargs(args):
-    return dict(rule=args.edge_rule, enumerate_all=args.enumerate_all,
-                free_value=args.free_value, shift=args.shift,
-                tol_pole=args.tol_pole, tol_rank=args.tol_rank,
-                tol_orth=args.tol_orth, tol_eval=args.tol_eval)
-
-
 def cmd_extract(args) -> int:
     model = parse_model(args.model)
     if model.kind != "state_space":
         raise SchemaError(f"{args.model}: extract expects a state_space model")
-    tol_pole = float((model.tolerances or {}).get("tol_pole", args.tol_pole))
-    d = compute_dsf(model.part, tol_pole)
+    d = model_to_dsf(model, _resolve_tolerances(args, model)["tol_pole"])
     lim = structure_limits(d)
     _write_json(dsf_to_json(d), args.output)
     print(f"wrote {args.output}")
@@ -379,8 +374,10 @@ def cmd_extract(args) -> int:
 
 def cmd_minreal(args) -> int:
     model = parse_model(args.model)
-    d = model_to_dsf(model)
-    result = minreal_pipeline(d, **_pipeline_kwargs(args))
+    tols = _resolve_tolerances(args, model)
+    d = model_to_dsf(model, tols["tol_pole"])
+    result = minreal_pipeline(d, rule=args.edge_rule, enumerate_all=args.enumerate_all,
+                              free_value=args.free_value, shift=args.shift, **tols)
     report = build_report(d, result)
     print(report.to_text(result.gilbert.poles))
     for k, r in enumerate(result.realizations):
@@ -409,14 +406,15 @@ def cmd_verify(args) -> int:
     from .minreal import minimal_order
 
     model = parse_model(args.model)
-    d = model_to_dsf(model)
+    tols = _resolve_tolerances(args, model)
+    d = model_to_dsf(model, tols["tol_pole"])
     rmodel = parse_model(args.realization)
     if rmodel.kind != "state_space":
         raise SchemaError(f"{args.realization}: expected a state_space realization")
     part = rmodel.part
-    consistent = consistency_check(part, d, args.tol_eval)
-    mo = minimal_order(d, rule=args.edge_rule, tol_pole=args.tol_pole,
-                       tol_rank=args.tol_rank, tol_orth=args.tol_orth,
+    consistent = consistency_check(part, d, tols["tol_eval"])
+    mo = minimal_order(d, rule=args.edge_rule, tol_pole=tols["tol_pole"],
+                       tol_rank=tols["tol_rank"], tol_orth=tols["tol_orth"],
                        shift=args.shift)
     print(f"consistent: {'yes' if consistent else 'no'}")
     print(f"realization order: {part.order}; minimal consistent order: {mo.order}")
@@ -445,22 +443,21 @@ def make_parser() -> argparse.ArgumentParser:
         description="dynamical structure functions and minimal consistent realizations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def search(p):
+        """Options of the commands that run the minimal-order search."""
         p.add_argument("--tol-pole", dest="tol_pole", type=float, default=TOL_POLE)
         p.add_argument("--tol-rank", dest="tol_rank", type=float, default=TOL_RANK)
-        p.add_argument("--tol-orth", dest="tol_orth", type=float, default=1e-8)
+        p.add_argument("--tol-orth", dest="tol_orth", type=float, default=TOL_ORTH)
         p.add_argument("--tol-eval", dest="tol_eval", type=float, default=TOL_EVAL)
         p.add_argument("--edge-rule", dest="edge_rule", choices=EDGE_RULES,
                        default="support-disjoint")
-        p.add_argument("--free-value", dest="free_value", type=float,
-                       default=FREE_VALUE)
         p.add_argument("--shift", type=_parse_shift, default="auto",
                        help="frequency shift: a real number or 'auto'")
 
     p_extract = sub.add_parser("extract", help="structure function of a state-space model")
     p_extract.add_argument("model")
     p_extract.add_argument("-o", "--output", default="dsf.json")
-    common(p_extract)
+    p_extract.add_argument("--tol-pole", dest="tol_pole", type=float, default=TOL_POLE)
     p_extract.set_defaults(func=cmd_extract)
 
     p_minreal = sub.add_parser("minreal", help="minimal consistent realizations")
@@ -469,19 +466,20 @@ def make_parser() -> argparse.ArgumentParser:
     p_minreal.add_argument("--enumerate-all", dest="enumerate_all",
                            action="store_true",
                            help="one realization per maximum clique")
-    common(p_minreal)
+    p_minreal.add_argument("--free-value", dest="free_value", type=float,
+                           default=FREE_VALUE)
+    search(p_minreal)
     p_minreal.set_defaults(func=cmd_minreal)
 
     p_graph = sub.add_parser("graph", help="network topology as DOT or JSON")
     p_graph.add_argument("model")
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
-    common(p_graph)
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="check a realization against a model")
     p_verify.add_argument("model")
     p_verify.add_argument("realization")
-    common(p_verify)
+    search(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

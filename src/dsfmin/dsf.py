@@ -25,7 +25,7 @@ from .ratcore import (
     TOL_POLE,
     RationalFunction,
     RationalMatrix,
-    limit_at_infinity,
+    chain_clusters,
     rmat_equal,
 )
 from .sslib import PartitionedRealization, gilbert_realization, transfer_from_blocks
@@ -42,8 +42,7 @@ def _check_real_simple(M: RationalMatrix, tol_pole: float, label: str):
             if np.max(np.abs(r.imag)) > tol_pole:
                 raise ComplexPolesUnsupported(
                     f"{label}[{i}][{j}] has complex poles; only real poles are supported")
-            re = np.sort(r.real)
-            if re.size > 1 and np.min(np.diff(re)) <= tol_pole:
+            if len(chain_clusters(r.real, tol_pole)) < r.size:
                 raise RepeatedPole(f"{label}[{i}][{j}] has a repeated pole")
 
 
@@ -107,10 +106,6 @@ def compute_wv(part: PartitionedRealization):
     W = A11 + A12 (sI - A22)^(-1) A21 and
     V = B1  + A12 (sI - A22)^(-1) B2, sharing one resolvent of A22.
     """
-    if part.h == 0:
-        W = RationalMatrix.from_real(part.A11)
-        V = RationalMatrix.from_real(part.B1)
-        return W, V
     W = transfer_from_blocks(part.A22, part.A21, part.A12, part.A11)
     V = transfer_from_blocks(part.A22, part.B2, part.A12, part.B1)
     return W, V
@@ -152,16 +147,28 @@ def dsf_to_transfer(d: DSF) -> RationalMatrix:
     return transfer_from_blocks(Acl, Bu, qp_ss.C, np.zeros((d.p, d.m)))
 
 
+def _limit_s_times(M: RationalMatrix) -> np.ndarray:
+    """Entrywise lim s*M(s) as s -> infinity for strictly proper M.
+
+    Only entries of relative degree one contribute: the ratio of the
+    leading coefficients of their reduced numerator and denominator.
+    """
+    out = np.zeros(M.shape)
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            if e.relative_degree() == 1:
+                out[i, j] = e.num.lead / e.den.lead
+    return out
+
+
 def structure_limits(d: DSF) -> StructureLimits:
     """High-frequency limits lim s*Q and lim s*P.
 
     These recover the off-diagonal of A11 and the B1 block of any
-    realization consistent with the structure function.
+    realization consistent with the structure function; the diagonal
+    of lim s*Q is zero because Q's diagonal is.
     """
-    A11_off = limit_at_infinity(d.Q.scale(S_POLY))
-    np.fill_diagonal(A11_off, 0.0)
-    B1 = limit_at_infinity(d.P.scale(S_POLY))
-    return StructureLimits(A11_off, B1)
+    return StructureLimits(_limit_s_times(d.Q), _limit_s_times(d.P))
 
 
 def boolean_structure(d: DSF, tol_struct: float = TOL_STRUCT) -> BooleanStructure:

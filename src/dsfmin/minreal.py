@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsf import DSF, consistency_check
+from .dsf import DSF, consistency_check, structure_limits
 from .errors import (
     ConflictingAssignment,
     PoleAtZeroWithoutShift,
@@ -26,8 +26,6 @@ from .errors import (
 from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
-    Polynomial,
-    limit_at_infinity,
     residue_at,
     rmat_poles,
 )
@@ -115,11 +113,14 @@ def extract_modes(d: DSF, tol_pole: float = TOL_POLE, tol_rank: float = TOL_RANK
                   shift="auto") -> GilbertData:
     """Rank-1 residue data of the structure function.
 
-    Builds [(s-a)Q (s-a)P] where a = 0 normally; when [Q P] has a pole
+    Works on [(s-a)Q (s-a)P] where a = 0 normally; when [Q P] has a pole
     at the origin (or a manual shift is requested) a is set off all
-    poles so that the origin factor does not swallow the pole.  Each
-    residue must have rank 1; the repeated-pole generalization where
-    residues gain rank is not implemented.
+    poles so that the origin factor does not swallow the pole.  Since
+    [Q P] is strictly proper, the residue of the shifted matrix at lam
+    is (lam - a) times that of [Q P], and its value at infinity is
+    lim s[Q P] whatever a is.  Each residue must have rank 1; the
+    repeated-pole generalization where residues gain rank is not
+    implemented.
     """
     qp = d.qp()
     poles_asc = rmat_poles(qp, tol_pole)
@@ -133,11 +134,10 @@ def extract_modes(d: DSF, tol_pole: float = TOL_POLE, tol_rank: float = TOL_RANK
                 "[Q P] has a pole at the origin; a nonzero shift is required")
         if a != 0.0 and any(abs(x - a) <= tol_pole for x in poles_asc):
             raise ValueError(f"shift {a} coincides with a pole of [Q P]")
-    work = qp.scale(Polynomial([-a, 1.0]))
     poles = sorted(poles_asc, reverse=True)
     E_list, F_list = [], []
     for lam in poles:
-        K = residue_at(work, lam, tol_pole)
+        K = (lam - a) * residue_at(qp, lam, tol_pole)
         E, F, r = rank_factorization(K, tol_rank)
         if r > 1:
             raise ResidueRankExceedsOne(
@@ -150,7 +150,8 @@ def extract_modes(d: DSF, tol_pole: float = TOL_POLE, tol_rank: float = TOL_RANK
         Frow = (Evec @ K) / float(Evec @ Evec)
         E_list.append(Evec)
         F_list.append(Frow)
-    D1 = limit_at_infinity(work)
+    lim = structure_limits(d)
+    D1 = np.hstack([lim.A11_offdiag, lim.B1])
     return GilbertData(poles, E_list, F_list, D1, a, d.p, d.m)
 
 
@@ -378,8 +379,7 @@ def minreal_pipeline(d: DSF, rule: str = "support-disjoint",
                      enumerate_all: bool = False, free_value: float = FREE_VALUE,
                      shift="auto", tol_pole: float = TOL_POLE,
                      tol_rank: float = TOL_RANK, tol_orth: float = TOL_ORTH,
-                     tol_eval: float = TOL_EVAL,
-                     zero_tests: bool = True) -> PipelineResult:
+                     tol_eval: float = TOL_EVAL) -> PipelineResult:
     """Full pipeline: modes, cliques, R* families, realizations, checks.
 
     One realization is produced per maximum clique (or just the first,
@@ -398,7 +398,7 @@ def minreal_pipeline(d: DSF, rule: str = "support-disjoint",
         flags = cancellation_check(g, rvec)
         cancelled = [g.poles[i] for i in range(g.l) if flags[i]]
         consistent = consistency_check(part, d, tol_eval)
-        checks = _zero_point_tests(g, rvec, flags, tol_rank) if zero_tests else []
+        checks = _zero_point_tests(g, rvec, flags, tol_rank)
         reports.append(RealizationReport(rstar, part, part.order, cancelled,
                                          flags, consistent, checks))
     return PipelineResult(g, cg, cl, g.l, cl.phi, order, g.l - cl.phi, reports)

@@ -151,14 +151,8 @@ def poly_real_roots(p: Polynomial, tol_root: float = TOL_ROOT) -> RootSet:
     copies need ``tol_root`` to merge; such clusters keep their mean.
     """
     r = p.roots()
-    real = np.sort(r[np.abs(r.imag) <= tol_root].real)
+    clusters = chain_clusters(r[np.abs(r.imag) <= tol_root].real, tol_root)
     cplx = [complex(z) for z in r[np.abs(r.imag) > tol_root]]
-    clusters = []
-    for x in real:
-        if clusters and x - clusters[-1][-1] <= tol_root:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
     centres = np.array([np.mean(c) for c in clusters])
     neighbours = np.concatenate([centres, np.asarray(cplx, dtype=complex)])
     dp = p.derivative()
@@ -170,6 +164,16 @@ def poly_real_roots(p: Polynomial, tol_root: float = TOL_ROOT) -> RootSet:
             x = _newton_polish(p, dp, x, 0.5 * gap)
         real_roots.append((x, len(c)))
     return RootSet(real_roots, cplx)
+
+
+def chain_clusters(x, tol: float) -> list:
+    """Sorted real values split wherever neighbours lie more than ``tol`` apart.
+
+    Chaining is transitive: values ``tol`` apart in a row form one
+    cluster however wide it grows.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    return np.split(x, np.flatnonzero(np.diff(x) > tol) + 1) if x.size else []
 
 
 def _newton_polish(p: Polynomial, dp: Polynomial, x: float, reach: float) -> float:
@@ -366,17 +370,7 @@ def _add_over_lcm(f: RationalFunction, g: RationalFunction,
     multiple roots that a later cancellation would have to resolve.
     """
     d1r = list(_realify(f.den.roots()))
-    d2r = list(_realify(g.den.roots()))
-    d2_only = []
-    d1_only = list(d1r)  # d1 roots not shared with d2, after pairing
-    for z in d2r:
-        if d1_only:
-            j = int(np.argmin(np.abs(np.asarray(d1_only) - z)))
-            floor = 8.0 * _SQRT_EPS * (1.0 + abs(z))
-            if abs(d1_only[j] - z) <= max(tol_root, floor):
-                d1_only.pop(j)
-                continue
-        d2_only.append(z)
+    d1_only, d2_only, _ = _cancel_common_roots(d1r, _realify(g.den.roots()), tol_root)
     num = f.num * Polynomial(_real_coeffs(d2_only)) + \
         g.num * Polynomial(_real_coeffs(d1_only))
     den = Polynomial(_real_coeffs(d1r + d2_only))
@@ -425,7 +419,7 @@ def ratfun_equal(f: RationalFunction, g: RationalFunction,
     if np.max(np.abs((a - b).coeffs)) <= tol_eval * scale:
         return True
     if sample_points is None:
-        sample_points = _sample_points([f, g], 16)
+        sample_points = off_pole_points(np.concatenate([f.poles(), g.poles()]), 16)
     for s in sample_points:
         fv, gv = f(s), g(s)
         if abs(fv - gv) > tol_eval * max(1.0, abs(fv), abs(gv)):
@@ -433,14 +427,13 @@ def ratfun_equal(f: RationalFunction, g: RationalFunction,
     return True
 
 
-def _sample_points(funcs, count):
-    """Deterministic points s_k = sigma + k, sigma = 1 + max |pole|."""
-    mags = [0.0]
-    for f in funcs:
-        p = f.poles()
-        if p.size:
-            mags.append(float(np.max(np.abs(p))))
-    sigma = 1.0 + max(mags)
+def off_pole_points(poles, count: int) -> list:
+    """Deterministic points s_k = sigma + k, k = 1..count, sigma = 1 + max |pole|.
+
+    Every point lies beyond the spectral bound of ``poles``, so none is a pole.
+    """
+    poles = np.asarray(poles)
+    sigma = 1.0 + (float(np.max(np.abs(poles))) if poles.size else 0.0)
     return [sigma + k for k in range(1, count + 1)]
 
 
@@ -560,16 +553,7 @@ def rmat_poles(M: RationalMatrix, tol_pole: float = TOL_POLE) -> list:
     if bad:
         raise ComplexPolesUnsupported(
             f"complex poles in entries {bad}; only real poles are supported")
-    if not roots:
-        return []
-    roots = np.sort(np.asarray(roots))
-    clusters = [[roots[0]]]
-    for x in roots[1:]:
-        if x - clusters[-1][-1] <= tol_pole:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    return [float(np.mean(c)) for c in clusters]
+    return [float(np.mean(c)) for c in chain_clusters(roots, tol_pole)]
 
 
 def residue_at(M: RationalMatrix, lam: float, tol_pole: float = TOL_POLE) -> np.ndarray:
@@ -724,9 +708,8 @@ def rmat_equal(M1: RationalMatrix, M2: RationalMatrix,
     """Entrywise equality of two rational matrices (see ratfun_equal)."""
     if M1.shape != M2.shape:
         raise ShapeMismatch(f"shapes {M1.shape} and {M2.shape} differ")
-    funcs = [e for row in M1.entries for e in row] + \
-            [e for row in M2.entries for e in row]
-    pts = _sample_points(funcs, 16)
+    pts = off_pole_points(np.concatenate([e.poles() for M in (M1, M2)
+                                          for row in M.entries for e in row]), 16)
     for r1, r2 in zip(M1.entries, M2.entries):
         for a, b in zip(r1, r2):
             if not ratfun_equal(a, b, tol_eval, sample_points=pts):

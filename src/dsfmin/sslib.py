@@ -16,6 +16,7 @@ from .ratcore import (
     TOL_POLE,
     RationalFunction,
     RationalMatrix,
+    off_pole_points,
     rmat_eval,
     to_pole_residue,
 )
@@ -151,12 +152,12 @@ def _resolvent(A: np.ndarray):
 def transfer_from_blocks(A, B, C, D) -> RationalMatrix:
     """C (sI - A)^(-1) B + D as a reduced rational matrix."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    C = np.asarray(C, dtype=float).reshape(-1, A.shape[0])
     D = np.atleast_2d(np.asarray(D, dtype=float))
     n = A.shape[0]
     if n == 0:
         return RationalMatrix.from_real(D)
+    B = np.asarray(B, dtype=float).reshape(n, -1)
+    C = np.asarray(C, dtype=float).reshape(-1, n)
     mats, char = _resolvent(A)
     terms = [C @ Nk @ B for Nk in mats]  # coefficient of s^(n-1-k)
     out = []
@@ -193,7 +194,7 @@ def output_normal_form(ss: StateSpace, tol_rank: float = TOL_RANK) -> Partitione
     if p > n:
         raise ShapeMismatch("more outputs than states")
     U, sv, Vt = np.linalg.svd(ss.C)
-    rank = int(np.sum(sv > tol_rank * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = _rank(sv, tol_rank)
     if rank < p:
         raise RankDeficientC(f"C has rank {rank} < p = {p}")
     T = np.vstack([ss.C, Vt[p:, :]])
@@ -204,13 +205,13 @@ def output_normal_form(ss: StateSpace, tol_rank: float = TOL_RANK) -> Partitione
                                   Bo[:p], Bo[p:])
 
 
+def _rank(sv: np.ndarray, tol_rank: float) -> int:
+    """Numerical rank from singular values in descending order."""
+    return int(np.sum(sv > tol_rank * sv[0])) if sv.size and sv[0] > 0.0 else 0
+
+
 def _matrix_rank(M: np.ndarray, tol_rank: float = TOL_RANK) -> int:
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol_rank * sv[0]))
+    return _rank(np.linalg.svd(M, compute_uv=False), tol_rank)
 
 
 def rank_factorization(K: np.ndarray, tol_rank: float = TOL_RANK):
@@ -221,7 +222,7 @@ def rank_factorization(K: np.ndarray, tol_rank: float = TOL_RANK):
     equals the sign of the dominant entry of K's dominant column.
     """
     U, sv, Vt = np.linalg.svd(K)
-    r = _matrix_rank(K, tol_rank)
+    r = _rank(sv, tol_rank)
     E = U[:, :r] * sv[:r]
     F = Vt[:r, :].copy()
     if r == 0:
@@ -282,14 +283,8 @@ def mcmillan_degree(M: RationalMatrix, tol_pole: float = TOL_POLE,
 def normal_rank(M: RationalMatrix, points=None, tol_rank: float = TOL_RANK) -> int:
     """Maximum evaluation rank over deterministic off-pole sample points."""
     if points is None:
-        mags = [0.0]
-        for row in M.entries:
-            for e in row:
-                r = e.poles()
-                if r.size:
-                    mags.append(float(np.max(np.abs(r))))
-        sigma = 1.0 + max(mags)
-        points = [sigma + k for k in range(1, 9)]
+        points = off_pole_points(np.concatenate([e.poles() for row in M.entries
+                                                 for e in row]), 8)
     return max(_matrix_rank(rmat_eval(M, s), tol_rank) for s in points)
 
 
@@ -306,10 +301,8 @@ def is_invariant_zero(ss: StateSpace, s0, tol_rank: float = TOL_RANK) -> bool:
     rank of the transfer function, the latter estimated by evaluating
     G(s) at eight deterministic points beyond the spectral radius.
     """
-    eigs = np.linalg.eigvals(ss.A)
-    sigma = 1.0 + (float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-    nr = max(_matrix_rank(_eval_transfer(ss, sigma + k), tol_rank)
-             for k in range(1, 9))
+    nr = max(_matrix_rank(_eval_transfer(ss, s), tol_rank)
+             for s in off_pole_points(np.linalg.eigvals(ss.A), 8))
     n = ss.n
     R = np.block([[ss.A - s0 * np.eye(n), ss.B], [ss.C, ss.D]])
     return _matrix_rank(R, tol_rank) < n + nr

@@ -71,6 +71,12 @@ class TestParseModel:
         expect_q = rmat([[ZERO, ([-1], [1, 1])], [([-2], [2, 1]), ZERO]])
         assert rmat_equal(model.dsf.Q, expect_q)
 
+    def test_non_numeric_tolerance_rejected(self, tmp_path):
+        path = tmp_path / "bad_tol.json"
+        path.write_text(json.dumps(dict(EX2_JSON, tolerances={"tol_eval": "tight"})))
+        with pytest.raises(SchemaError):
+            parse_model(str(path))
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"kind": "mystery"}))
@@ -198,6 +204,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "inconsistent" in out
+
+    def test_file_tolerances_override_flags(self, tmp_path, capsys):
+        path = tmp_path / "ex2_loose.json"
+        path.write_text(json.dumps(dict(EX2_JSON, tolerances={"tol_eval": 1e-3})))
+        main(["minreal", str(path), "--out-dir", str(tmp_path)])
+        raw = json.loads((tmp_path / "realization_1.json").read_text())
+        raw["B"][0][0] += 1e-6
+        nudged = tmp_path / "nudged.json"
+        nudged.write_text(json.dumps(raw))
+        assert main(["verify", write_ex2(tmp_path), str(nudged)]) == 1
+        assert main(["verify", str(path), str(nudged)]) == 0
+        assert main(["verify", str(path), str(nudged), "--tol-eval", "1e-12"]) == 0
 
     def test_realization_against_own_dsf(self, tmp_path, capsys):
         model = write_ex1(tmp_path)

@@ -17,6 +17,7 @@ from dsfmin import (
 )
 from dsfmin.errors import RankDeficientC
 from dsfmin.ratcore import S_POLY
+from dsfmin.sslib import transfer_from_blocks
 
 from conftest import EX2_E_DIRECTIONS, ZERO, ex1_matrices, rmat
 
@@ -50,6 +51,11 @@ class TestTransferFunction:
         ss = StateSpace([[-1.0]], [[1.0]], [[4.0]], [[1.0]])
         G = transfer_function(ss)  # (s+5)/(s+1)
         assert rmat_equal(G, rmat([[([5, 1], [1, 1])]]))
+
+    def test_empty_state_gives_feedthrough(self):
+        D = np.array([[1.0, -2.0], [0.5, 0.0]])
+        G = transfer_from_blocks(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D)
+        assert np.array_equal(rmat_eval(G, 1.0), D)
 
 
 class TestOutputNormalForm:
