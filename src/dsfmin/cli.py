@@ -104,8 +104,12 @@ def _rmat_from_json(obj, what, tol_root):
                            for i, row in enumerate(obj)])
 
 
-def parse_model(path: str) -> ModelFile:
-    """Load and validate a model file; see the module docstring for schemas."""
+def parse_model(path: str, tol_pole: float = TOL_POLE) -> ModelFile:
+    """Load and validate a model file; see the module docstring for schemas.
+
+    A structure function is validated with ``tol_pole`` unless the file's
+    own tolerances give one, which wins as in ``_resolve_tolerances``.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -123,7 +127,7 @@ def parse_model(path: str) -> ModelFile:
         tols = {key: float(value) for key, value in tols.items()}
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: tolerances must be numbers") from exc
-    tol_pole = tols.get("tol_pole", TOL_POLE)
+    tol_pole = tols.get("tol_pole", tol_pole)
     tol_root = tols.get("tol_root", TOL_ROOT)
 
     if kind == "state_space":
@@ -373,7 +377,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_minreal(args) -> int:
-    model = parse_model(args.model)
+    model = parse_model(args.model, args.tol_pole)
     tols = _resolve_tolerances(args, model)
     d = model_to_dsf(model, tols["tol_pole"])
     result = minreal_pipeline(d, rule=args.edge_rule, enumerate_all=args.enumerate_all,
@@ -405,7 +409,7 @@ def cmd_verify(args) -> int:
     from .dsf import consistency_check
     from .minreal import minimal_order
 
-    model = parse_model(args.model)
+    model = parse_model(args.model, args.tol_pole)
     tols = _resolve_tolerances(args, model)
     d = model_to_dsf(model, tols["tol_pole"])
     rmodel = parse_model(args.realization)

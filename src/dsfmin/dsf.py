@@ -26,7 +26,7 @@ from .ratcore import (
     RationalFunction,
     RationalMatrix,
     chain_clusters,
-    rmat_equal,
+    off_pole_points,
 )
 from .sslib import PartitionedRealization, gilbert_realization, transfer_from_blocks
 
@@ -197,9 +197,35 @@ def boolean_structure(d: DSF, tol_struct: float = TOL_STRUCT) -> BooleanStructur
 
 def consistency_check(part: PartitionedRealization, d: DSF,
                       tol_eval: float = TOL_EVAL) -> bool:
-    """True iff the realization reproduces the structure function."""
+    """True iff the realization reproduces the structure function.
+
+    Both sides are compared by value at 16 points beyond every pole of
+    d's entries, of A22 and of each row system A_i, the principal
+    submatrix of A on {i} and the hidden states.  Since
+    det(sI - A_i) = det(sI - A22) (s - W_ii(s)), the eigenvalues of A_i
+    hold every pole of row i of the realization's [Q P].  At each point
+    [W V] = [A11 B1] + A12 (sI - A22)^(-1) [A21 B2], and row i of
+    [Q P] is row i of [W V] with W_ii set to zero, divided by
+    s - W_ii.  Entries f, g agree when
+    |f - g| <= tol_eval * max(1, |f|, |g|).
+    """
     if part.p != d.p or part.m != d.m:
         raise ShapeMismatch(
             f"realization is {part.p}x{part.m}, structure function {d.p}x{d.m}")
-    d2 = compute_dsf(part, d.tol_pole)
-    return rmat_equal(d2.Q, d.Q, tol_eval) and rmat_equal(d2.P, d.P, tol_eval)
+    p, h = part.p, part.h
+    qp = d.qp().entries
+    rows = np.array([[i, *range(p, p + h)] for i in range(p)])
+    A_rows = part.assemble().A[rows[:, :, None], rows[:, None, :]]
+    poles = [e.poles() for row in qp for e in row]
+    poles += [np.linalg.eigvals(part.A22), np.linalg.eigvals(A_rows).ravel()]
+    s = np.asarray(off_pole_points(np.concatenate(poles), 16))
+    want = np.moveaxis(np.array([[e(s) for e in row] for row in qp]), -1, 0)
+    rhs = np.broadcast_to(np.hstack([part.A21, part.B2]), (s.size, h, p + part.m))
+    wv = np.hstack([part.A11, part.B1]) + part.A12 @ np.linalg.solve(
+        s[:, None, None] * np.eye(h) - part.A22, rhs)
+    diag = (slice(None), range(p), range(p))
+    w_ii = wv[diag].copy()
+    wv[diag] = 0.0
+    got = wv / (s[:, None] - w_ii)[:, :, None]
+    bound = tol_eval * np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+    return bool(np.all(np.abs(got - want) <= bound))

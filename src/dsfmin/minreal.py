@@ -33,7 +33,8 @@ from .sslib import (
     TOL_RANK,
     PartitionedRealization,
     StateSpace,
-    is_invariant_zero,
+    _rosenbrock_rank_drops,
+    _transfer_normal_rank,
     rank_factorization,
 )
 
@@ -353,25 +354,22 @@ def _zero_point_tests(g: GilbertData, rvec, flags, tol_rank):
     Both tests run on the full (uncancelled) cascade, where a removed
     pole persists as an unobservable mode: the V-subsystem
     (A22, B2, A12, B1) and the assembled system lose Rosenbrock rank
-    together exactly at the cancelled poles.
+    together exactly at the cancelled poles.  Each system's normal rank
+    is computed once and shared by all of its points.
     """
-    full = _assemble(g, rvec, TOL_CANCEL, keep_cancelled=True)
-    vsub = StateSpace(full.A22, full.B2, full.A12, full.B1)
-    gfull = full.assemble()
-    checks = []
-    for lam, flag in zip(g.poles, flags):
-        if not flag:
-            continue
-        checks.append(ZeroMatch(lam,
-                                is_invariant_zero(vsub, lam, tol_rank),
-                                is_invariant_zero(gfull, lam, tol_rank),
-                                expected=True))
+    points = [(lam, True) for lam, flag in zip(g.poles, flags) if flag]
     if g.l >= 2:
-        control = 0.5 * (g.poles[0] + g.poles[1])
-        checks.append(ZeroMatch(control,
-                                is_invariant_zero(vsub, control, tol_rank),
-                                is_invariant_zero(gfull, control, tol_rank),
-                                expected=False))
+        points.append((0.5 * (g.poles[0] + g.poles[1]), False))
+    if not points:
+        return []
+    full = _assemble(g, rvec, TOL_CANCEL, keep_cancelled=True)
+    systems = [StateSpace(full.A22, full.B2, full.A12, full.B1), full.assemble()]
+    ranks = [_transfer_normal_rank(ss, tol_rank) for ss in systems]
+    checks = []
+    for point, expected in points:
+        v_zero, g_zero = (_rosenbrock_rank_drops(ss, point, nr, tol_rank)
+                          for ss, nr in zip(systems, ranks))
+        checks.append(ZeroMatch(point, v_zero, g_zero, expected))
     return checks
 
 

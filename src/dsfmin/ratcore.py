@@ -243,11 +243,16 @@ def _real_coeffs(roots, imag_floor=1e-7):
 
 
 class RationalFunction:
-    """Reduced ratio of two real polynomials with a monic denominator."""
+    """Reduced ratio of two real polynomials with a monic denominator.
 
-    __slots__ = ("num", "den")
+    Instances are immutable: ``poles()`` finds the denominator roots on
+    its first call and keeps them, read-only, in ``_poles``.
+    """
+
+    __slots__ = ("num", "den", "_poles")
 
     def __init__(self, num, den=(1.0,), tol_root: float = TOL_ROOT):
+        self._poles = None
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
@@ -292,10 +297,13 @@ class RationalFunction:
         return self.relative_degree() >= 1
 
     def poles(self) -> np.ndarray:
-        """Complex roots of the (reduced) denominator."""
-        if self.den.degree() == 0:
-            return np.zeros(0, dtype=complex)
-        return self.den.roots()
+        """Complex roots of the (reduced) denominator, computed once."""
+        if self._poles is None:
+            r = (np.zeros(0, dtype=complex) if self.den.degree() == 0
+                 else self.den.roots())
+            r.flags.writeable = False
+            self._poles = r
+        return self._poles
 
     # -- arithmetic ----------------------------------------------------
 
@@ -356,6 +364,7 @@ def _as_ratfun(x) -> RationalFunction:
 def _raw_ratfun(num: Polynomial, den: Polynomial) -> RationalFunction:
     """Wrap already-reduced parts, normalizing the denominator to monic."""
     obj = RationalFunction.__new__(RationalFunction)
+    obj._poles = None
     lead = den.lead
     obj.num = Polynomial(num.coeffs / lead)
     obj.den = Polynomial(den.coeffs / lead)

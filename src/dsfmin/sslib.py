@@ -294,6 +294,19 @@ def _eval_transfer(ss: StateSpace, s):
     return ss.C @ np.linalg.solve(s * np.eye(n) - ss.A, ss.B) + ss.D
 
 
+def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
+    """Normal rank of G(s), the largest rank at eight points beyond the spectrum."""
+    return max(_matrix_rank(_eval_transfer(ss, s), tol_rank)
+               for s in off_pole_points(np.linalg.eigvals(ss.A), 8))
+
+
+def _rosenbrock_rank_drops(ss: StateSpace, s0, normal_rank_g: int, tol_rank: float) -> bool:
+    """True iff rank [[A - s0 I, B], [C, D]] < n + normal_rank_g."""
+    n = ss.n
+    R = np.block([[ss.A - s0 * np.eye(n), ss.B], [ss.C, ss.D]])
+    return _matrix_rank(R, tol_rank) < n + normal_rank_g
+
+
 def is_invariant_zero(ss: StateSpace, s0, tol_rank: float = TOL_RANK) -> bool:
     """Rosenbrock rank test at the point s0.
 
@@ -301,8 +314,4 @@ def is_invariant_zero(ss: StateSpace, s0, tol_rank: float = TOL_RANK) -> bool:
     rank of the transfer function, the latter estimated by evaluating
     G(s) at eight deterministic points beyond the spectral radius.
     """
-    nr = max(_matrix_rank(_eval_transfer(ss, s), tol_rank)
-             for s in off_pole_points(np.linalg.eigvals(ss.A), 8))
-    n = ss.n
-    R = np.block([[ss.A - s0 * np.eye(n), ss.B], [ss.C, ss.D]])
-    return _matrix_rank(R, tol_rank) < n + nr
+    return _rosenbrock_rank_drops(ss, s0, _transfer_normal_rank(ss, tol_rank), tol_rank)

@@ -139,6 +139,18 @@ class TestMinrealCommand:
         assert main(["minreal", str(path)]) == 2
         assert "assumption violated" in capsys.readouterr().err
 
+    def test_tol_pole_flag_validates_dsf_input(self, tmp_path, capsys):
+        # P[0][0] = 1/((s+1)(s+1+5e-7)): two poles, apart at tol_pole 1e-8
+        den = np.polynomial.polynomial.polyfromroots([-1.0, -1.0 - 5e-7])
+        path = tmp_path / "close_poles.json"
+        path.write_text(json.dumps({
+            "kind": "dsf_coeff",
+            "Q": [[{"num": [0], "den": [1]}]],
+            "P": [[{"num": [1], "den": den.tolist()}]]}))
+        assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert main(["minreal", str(path), "--tol-pole", "1e-8",
+                     "--out-dir", str(tmp_path)]) == 0
+
     def test_missing_file_exits_3(self, capsys):
         assert main(["minreal", "/nonexistent/nowhere.json"]) == 3
 
@@ -216,6 +228,18 @@ class TestVerifyCommand:
         assert main(["verify", write_ex2(tmp_path), str(nudged)]) == 1
         assert main(["verify", str(path), str(nudged)]) == 0
         assert main(["verify", str(path), str(nudged), "--tol-eval", "1e-12"]) == 0
+
+    def test_complex_hidden_poles_are_inconsistent(self, tmp_path, capsys):
+        # hidden block: a 2x2 rotation with eigenvalues -1 +- 2i
+        A = np.ones((5, 5))
+        A[:3, :3] -= 2.0 * np.eye(3)
+        A[3:, 3:] = [[-1.0, 2.0], [-2.0, -1.0]]
+        path = tmp_path / "rotation.json"
+        path.write_text(json.dumps({"kind": "state_space", "A": A.tolist(),
+                                    "B": np.ones((5, 1)).tolist(), "p": 3}))
+        code = main(["verify", write_ex2(tmp_path), str(path)])
+        assert code == 1
+        assert "inconsistent" in capsys.readouterr().out
 
     def test_realization_against_own_dsf(self, tmp_path, capsys):
         model = write_ex1(tmp_path)

@@ -148,6 +148,45 @@ class TestConsistencyCheck:
                                            A22, part.B1, part.B2)
         assert not consistency_check(perturbed, d)
 
+    def test_agrees_with_symbolic_reference(self):
+        # the reference rebuilds the realization's [Q P] symbolically
+        def reference(part, d):
+            d2 = compute_dsf(part, d.tol_pole)
+            return rmat_equal(d2.Q, d.Q) and rmat_equal(d2.P, d.P)
+
+        blocks = ("A11", "A12", "A21", "A22", "B1", "B2")
+
+        def nudged(part, name, delta):
+            mats = {b: getattr(part, b).copy() for b in blocks}
+            mats[name][0, 0] += delta
+            return PartitionedRealization(**mats)
+
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            part = random_partition(rng, int(rng.integers(2, 5)),
+                                    int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            d = compute_dsf(part)
+            assert consistency_check(part, d)
+            assert reference(part, d)
+            for name in blocks:
+                # 1e-4 on A22 moves [Q P] by about 1e-9 at points beyond the
+                # poles, under the rule's absolute floor: both checks pass it
+                small, large = nudged(part, name, 1e-4), nudged(part, name, 1e-2)
+                assert consistency_check(small, d) == reference(small, d), name
+                assert not consistency_check(large, d), name
+                assert not reference(large, d), name
+
+    def test_no_hidden_states(self):
+        def part_with(A11):
+            return PartitionedRealization(A11, np.zeros((2, 0)), np.zeros((0, 2)),
+                                          np.zeros((0, 0)), np.eye(2), np.zeros((0, 2)))
+
+        A11 = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        d = compute_dsf(part_with(A11))
+        assert consistency_check(part_with(A11), d)
+        A11[1, 0] = 1e-4
+        assert not consistency_check(part_with(A11), d)
+
     def test_shape_mismatch(self, ex2_dsf):
         part = PartitionedRealization(np.diag([-1.0, -2.0]), np.zeros((2, 0)),
                                       np.zeros((0, 2)), np.zeros((0, 0)),
