@@ -10,6 +10,11 @@ the root's coefficient condition number.  A root of multiplicity ``k`` is
 resolved only to about ``eps**(1/k)``; its copies are merged by
 ``tol_root`` and left unpolished.
 
+``from_pole_residue`` needs no root finding and no cancellation: poles
+given more than once are merged exactly (their residues summed), and
+each entry gets as poles exactly those whose residue in that entry is
+above ``_CHOP_REL`` (1e-12) times the entry's largest residue.
+
 Default tolerances; every operation that needs one accepts an override:
 
 * ``TOL_ROOT``  root matching / cancellation (1e-8)
@@ -106,7 +111,9 @@ class Polynomial:
         if scale == 0.0:
             return Polynomial([0.0])
         keep = np.flatnonzero(np.abs(self.coeffs) > rel * scale)
-        return Polynomial(self.coeffs[: keep[-1] + 1]) if keep.size else Polynomial([0.0])
+        if not keep.size:
+            return Polynomial([0.0])
+        return self if keep[-1] + 1 == self.coeffs.size else Polynomial(self.coeffs[: keep[-1] + 1])
 
     def roots(self) -> np.ndarray:
         """All complex roots via companion-matrix eigenvalues."""
@@ -366,8 +373,8 @@ def _raw_ratfun(num: Polynomial, den: Polynomial) -> RationalFunction:
     obj = RationalFunction.__new__(RationalFunction)
     obj._poles = None
     lead = den.lead
-    obj.num = Polynomial(num.coeffs / lead)
-    obj.den = Polynomial(den.coeffs / lead)
+    obj.num = num if lead == 1.0 else Polynomial(num.coeffs / lead)
+    obj.den = den if lead == 1.0 else Polynomial(den.coeffs / lead)
     return obj
 
 
@@ -582,9 +589,10 @@ def residue_at(M: RationalMatrix, lam: float, tol_pole: float = TOL_POLE) -> np.
         if count > 1:
             raise RepeatedPole(
                 f"entry ({i}, {j}) has a pole of multiplicity {count} near {lam}")
+        # the denominator is monic, so its derivative at a simple root is
+        # the product of the distances to the other roots
         root = float(r[near][0].real)
-        e = M.entries[i][j]
-        K[i, j] = e.num(root) / e.den.derivative()(root)
+        K[i, j] = (M.entries[i][j].num(root) / np.prod(root - r[~near])).real
     return K
 
 
@@ -642,21 +650,55 @@ class PoleResidueForm:
         return f"PoleResidueForm(poles={self.poles.tolist()})"
 
 
+def _products_of_others(roots) -> np.ndarray:
+    """Row ``k``: ascending coefficients of ``prod_{m != k} (s - r_m)``.
+
+    Every row takes the factors in the same order, one per step, skipping
+    its own root.
+    """
+    n = roots.size
+    prods = np.zeros((n, n))
+    prods[:, :1] = 1.0
+    for m, r in enumerate(roots):
+        skipped = prods[m].copy()
+        prods[:, 1:] = prods[:, :-1] - r * prods[:, 1:]
+        prods[:, 0] *= -r
+        prods[m] = skipped
+    return prods
+
+
 def from_pole_residue(prf: PoleResidueForm) -> RationalMatrix:
-    """Rational matrix ``sum_i K_i/(s - lam_i) + D``, entries reduced."""
-    lams = prf.poles
-    den = _real_coeffs([complex(x) for x in lams])
-    partial = [_real_coeffs([complex(x) for k, x in enumerate(lams) if k != i])
-               for i in range(lams.size)]
+    """Rational matrix ``sum_k K_k/(s - lam_k) + D``, entries reduced.
+
+    Poles given more than once are merged exactly, their residues summed.
+    Entry ``(i, j)`` then has as poles exactly the ``lam_k`` whose residue
+    ``K_k[i, j]`` exceeds ``_CHOP_REL`` times the entry's largest residue;
+    a smaller one would not survive rounding in the numerator.  Each entry
+    is built over its own poles, ``den = prod (s - lam_k)`` and
+    ``num = D den + sum_k K_k prod_{m != k} (s - lam_m)``, so no root is
+    found and nothing is cancelled.  Distinct poles closer than a pole
+    tolerance stay distinct, for ``DSF`` to reject as repeated.
+    """
     rows, cols = prf.shape
+    lams, where = np.unique(prf.poles, return_inverse=True)
+    K = np.zeros((lams.size, rows, cols))
+    np.add.at(K, where, np.reshape(prf.residues, (-1, rows, cols)))
+    support = np.abs(K) > _CHOP_REL * np.max(np.abs(K), axis=0, initial=0.0)
+    bases = {}  # support mask -> (den, partial products), shared across entries
     out = []
     for i in range(rows):
         row = []
         for j in range(cols):
-            num = np.asarray(prf.constant[i, j] * den)
-            for k in range(lams.size):
-                num = npoly.polyadd(num, prf.residues[k][i, j] * partial[k])
-            row.append(RationalFunction(num, den))
+            mask = support[:, i, j]
+            key = mask.tobytes()
+            if key not in bases:
+                kept = lams[mask]
+                bases[key] = (Polynomial(npoly.polyfromroots(kept)), _products_of_others(kept))
+            den, partial = bases[key]
+            num = prf.constant[i, j] * den.coeffs
+            num[:-1] += K[mask, i, j] @ partial
+            num = Polynomial(num).chop()
+            row.append(_raw_ratfun(num, Polynomial([1.0]) if num.is_zero else den))
         out.append(row)
     return RationalMatrix(out)
 

@@ -17,7 +17,7 @@ from dsfmin import (
 )
 from dsfmin.errors import ShapeMismatch
 
-from conftest import ZERO, ex1_dsf_closed_form, random_partition, rmat
+from conftest import ZERO, ex1_dsf_closed_form, random_dsf, random_partition, rmat
 
 
 class TestComputeDsf:
@@ -221,3 +221,9 @@ class TestDsfInvariantsAtConstruction:
         P = rmat([[([1], [4, 4, 1])], [ZERO]])
         with pytest.raises(RepeatedPole):
             DSF(Q, P)
+
+    def test_sixteen_pole_draws_are_strictly_proper(self):
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            d = random_dsf(rng, 4, 2, 16)
+            assert d.p == 4

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dsfmin import (
+    DSF,
+    PoleResidueForm,
     Polynomial,
     RationalFunction,
     RationalMatrix,
@@ -270,6 +272,79 @@ class TestPoleResidueForms:
         for k in range(1, 11):
             s = sigma + k
             assert np.max(np.abs(rmat_eval(M, s) - rmat_eval(recon, s))) < 1e-8
+
+    @pytest.mark.parametrize("l", [4, 8, 12])
+    def test_entries_match_partial_fraction_sum(self, l):
+        rng = np.random.default_rng(1205)
+        points = [0.5 + 3j, -5.0 + 2j, -2.3 + 0.7j, 4.0 - 6j]
+        worst = 0.0
+        for _ in range(20):
+            prf = _random_dsf_form(rng, 4, 2, l)
+            M = from_pole_residue(prf)
+            for s in points:
+                want = sum(K / (s - lam) for lam, K in zip(prf.poles, prf.residues))
+                got = np.array([[e(s) for e in row] for row in M.entries])
+                worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert worst <= 1e-7
+
+    def test_entry_poles_are_its_nonzero_residues(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        prfs = [_random_dsf_form(rng, 4, 2, 8) for _ in range(3)]
+
+        def no_roots(self):
+            raise AssertionError("from_pole_residue must not find roots")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "roots", no_roots)
+            built = [from_pole_residue(prf) for prf in prfs]
+        for prf, M in zip(prfs, built):
+            K = np.array(prf.residues)
+            for i in range(M.rows):
+                for j in range(M.cols):
+                    assert M.entry(i, j).den.degree() == np.count_nonzero(K[:, i, j])
+
+    def test_noise_floor_residue_dropped(self):
+        M = from_pole_residue(PoleResidueForm([-2.0, -1.0], [[[1e-20]], [[1.0]]], [[0.0]]))
+        e = M.entry(0, 0)
+        assert e.num.coeffs.tolist() == [1.0]
+        assert e.den.coeffs.tolist() == [1.0, 1.0]
+
+    def test_duplicate_pole_merged_exactly(self):
+        M = from_pole_residue(PoleResidueForm([-1.0, -3.0, -1.0],
+                                              [[[1.0]], [[2.0]], [[0.5]]], [[0.0]]))
+        e = M.entry(0, 0)
+        assert e.den.degree() == 2
+        assert sorted(e.poles().real.tolist()) == [-3.0, -1.0]
+        assert residue_at(M, -1.0)[0, 0] == pytest.approx(1.5, rel=1e-14)
+        assert residue_at(M, -3.0)[0, 0] == pytest.approx(2.0, rel=1e-14)
+
+    def test_near_duplicate_poles_stay_repeated(self):
+        poles = [-1.0, -1.0 + 1e-9]
+        Q = from_pole_residue(PoleResidueForm(poles, [np.zeros((1, 1))] * 2, [[0.0]]))
+        P = from_pole_residue(PoleResidueForm(poles, [[[1.0]], [[2.0]]], [[0.0]]))
+        assert P.entry(0, 0).den.degree() == 2
+        with pytest.raises(RepeatedPole):
+            DSF(Q, P)
+        with pytest.raises(RepeatedPole):
+            residue_at(P, -1.0)
+
+
+def _random_dsf_form(rng, p, m, l):
+    """Pole-residue form of [Q P], drawn as ``conftest.random_dsf`` draws it."""
+    poles = np.sort(rng.choice(np.linspace(-10.0, -1.0, 19), size=l, replace=False)
+                    + rng.uniform(-0.2, 0.2, l))
+    residues = []
+    for _ in range(l):
+        support = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+        E = np.zeros(p)
+        E[support] = rng.uniform(0.5, 2.0, support.size) * rng.choice([-1.0, 1.0], support.size)
+        Fq = rng.uniform(-1.0, 1.0, p)
+        Fq[support] = 0.0
+        Fp = rng.uniform(-1.0, 1.0, m)
+        if np.max(np.abs(np.concatenate([Fq, Fp]))) < 0.1:
+            Fp[0] = 1.0
+        residues.append(np.outer(E, np.concatenate([Fq, Fp])))
+    return PoleResidueForm(poles, residues, np.zeros((p, p + m)))
 
 
 class TestLimitAtInfinity:
