@@ -16,6 +16,7 @@ from .dsf import (
     consistency_check,
     dsf_to_transfer,
     structure_limits,
+    transfer_realization,
 )
 from .minreal import (
     CliqueResult,
@@ -55,6 +56,7 @@ from .sslib import (
     StateSpace,
     gilbert_realization,
     is_invariant_zero,
+    kalman_reduce,
     mcmillan_degree,
     normal_rank,
     output_normal_form,

@@ -28,8 +28,8 @@ from .dsf import (
     DSF,
     boolean_structure,
     compute_dsf,
-    dsf_to_transfer,
     structure_limits,
+    transfer_realization,
 )
 from .errors import (
     AssumptionError,
@@ -52,7 +52,7 @@ from .sslib import (
     TOL_RANK,
     PartitionedRealization,
     StateSpace,
-    mcmillan_degree,
+    kalman_reduce,
     output_normal_form,
 )
 
@@ -285,7 +285,9 @@ class AnalysisReport:
 
 def build_report(d: DSF, result) -> AnalysisReport:
     try:
-        deg = mcmillan_degree(dsf_to_transfer(d), d.tol_pole)
+        # the McMillan degree of G is the order of a minimal part of any realization
+        ss = transfer_realization(d)
+        deg = kalman_reduce(ss.A, ss.B, ss.C)[0].shape[0]
     except (AssumptionError, DsfminError):
         deg = None
     return AnalysisReport(

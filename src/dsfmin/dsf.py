@@ -3,8 +3,16 @@
 A dynamical structure function is the pair [Q, P] relating the Laplace
 transforms of the measured outputs to themselves and to the inputs,
 Y = Q Y + P U.  Q is strictly proper with a zero diagonal; P is strictly
-proper.  Both are derived from a partitioned realization through the
-intermediate matrices W and V.
+proper.  In terms of the intermediate matrices W and V of a partitioned
+realization (``compute_wv``), Q_ij = W_ij / (s - W_ii) and
+P_ij = V_ij / (s - W_ii).
+
+``compute_dsf`` does not form that quotient.  Row i of [Q P] is the
+transfer of a row system with 1 + h states; an orthogonal staircase
+(``sslib.kalman_reduce``) reduces it to the modes the row sees, an
+eigendecomposition gives their poles and residues, residues at or below
+TOL_RANK times the row's largest count as zero, and ``from_pole_residue``
+builds the entries.
 """
 
 from __future__ import annotations
@@ -20,15 +28,22 @@ from .errors import (
     SingularIminusQ,
 )
 from .ratcore import (
-    S_POLY,
     TOL_EVAL,
     TOL_POLE,
-    RationalFunction,
+    PoleResidueForm,
     RationalMatrix,
     chain_clusters,
+    from_pole_residue,
     off_pole_points,
 )
-from .sslib import PartitionedRealization, gilbert_realization, transfer_from_blocks
+from .sslib import (
+    TOL_RANK,
+    PartitionedRealization,
+    StateSpace,
+    gilbert_realization,
+    kalman_reduce,
+    transfer_from_blocks,
+)
 
 TOL_STRUCT = 1e-9
 
@@ -114,29 +129,55 @@ def compute_wv(part: PartitionedRealization):
 def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF:
     """Dynamical structure function of a partitioned realization.
 
-    With R = diag(W), Q = (sI - R)^(-1)(W - R) and P = (sI - R)^(-1) V;
-    since sI - R is diagonal the inverse acts row by row.  Construction
-    validates the invariants, so repeated or complex poles raise.
+    Row i of [Q P] is the transfer from (y_j for j != i, u) to y_i of the
+    row system on measured state i and the hidden states:
+    A_i = A[idx, idx], B_i = [A[idx, j != i], B[idx]] and C_i = e_1 with
+    idx = [i, p, ..., n-1].  ``kalman_reduce`` drops the modes the row
+    cannot see, so what remains is minimal and, having one output, cyclic.
+    An eigendecomposition A_min = V diag(lam) V^(-1) then gives the row's
+    poles and residues (C_min v_k) (V^(-1) B_min)_k, with no rational
+    arithmetic.  A complex eigenvalue raises ComplexPolesUnsupported and
+    two within ``tol_pole`` raise RepeatedPole: in a cyclic system that
+    is a multiple pole.  Residues at or below TOL_RANK times the row's
+    largest are rounding noise and count as zero.  ``from_pole_residue``
+    builds the entries and DSF validates them.
     """
-    W, V = compute_wv(part)
     p, m = part.p, part.m
-    s = RationalFunction(S_POLY)
-    zero = RationalFunction([0.0])
-    Q_rows, P_rows = [], []
+    ss = part.assemble()
+    hidden = list(range(p, part.order))
+    poles, KQ, KP = [], [], []
     for i in range(p):
-        gap = s - W.entries[i][i]
-        Q_rows.append([zero if i == j else W.entries[i][j] / gap for j in range(p)])
-        P_rows.append([V.entries[i][j] / gap for j in range(m)])
-    return DSF(RationalMatrix(Q_rows), RationalMatrix(P_rows), tol_pole)
+        idx = [i, *hidden]
+        others = [j for j in range(p) if j != i]
+        A, B, C = kalman_reduce(ss.A[np.ix_(idx, idx)],
+                                np.hstack([ss.A[np.ix_(idx, others)], ss.B[idx]]),
+                                np.eye(1, len(idx)))
+        lam, V = np.linalg.eig(A)
+        if np.any(np.abs(lam.imag) > tol_pole):
+            raise ComplexPolesUnsupported(
+                f"row {i} of [Q P] has complex poles; only real poles are supported")
+        if len(chain_clusters(lam.real, tol_pole)) < lam.size:
+            raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
+        R = ((C @ V).T * np.linalg.solve(V, B)).real
+        R[np.abs(R) <= TOL_RANK * np.max(np.abs(R), initial=0.0)] = 0.0
+        kq = np.zeros((lam.size, p, p))
+        kq[:, i, others] = R[:, :p - 1]
+        kp = np.zeros((lam.size, p, m))
+        kp[:, i] = R[:, p - 1:]
+        poles.extend(lam.real)
+        KQ.extend(kq)
+        KP.extend(kp)
+    Q = from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((p, p))))
+    P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((p, m))))
+    return DSF(Q, P, tol_pole)
 
 
-def dsf_to_transfer(d: DSF) -> RationalMatrix:
-    """Transfer function G = (I - Q)^(-1) P.
+def transfer_realization(d: DSF) -> StateSpace:
+    """A realization (A + By C, Bu, C) of G = (I - Q)^(-1) P.
 
-    Computed by closing a minimal realization of [Q P] through the
-    output: with [Q P] = C (sI - A)^(-1) [By Bu], the relation
-    Y = Q Y + P U gives G = C (sI - A - By C)^(-1) Bu.  This avoids the
-    repeated-factor blowup of a symbolic adjugate inversion.
+    With a minimal realization [Q P] = C (sI - A)^(-1) [By Bu], the
+    relation Y = Q Y + P U gives G = C (sI - A - By C)^(-1) Bu.  The
+    result need not be minimal: Bu may not reach every mode.
     """
     qp_ss = gilbert_realization(d.qp(), d.tol_pole)
     By = qp_ss.B[:, :d.p]
@@ -144,7 +185,18 @@ def dsf_to_transfer(d: DSF) -> RationalMatrix:
     Acl = qp_ss.A + By @ qp_ss.C
     if not np.isfinite(Acl).all():
         raise SingularIminusQ("det(I - Q) is identically zero")
-    return transfer_from_blocks(Acl, Bu, qp_ss.C, np.zeros((d.p, d.m)))
+    return StateSpace(Acl, Bu, qp_ss.C)
+
+
+def dsf_to_transfer(d: DSF) -> RationalMatrix:
+    """Transfer function G = (I - Q)^(-1) P.
+
+    Computed from ``transfer_realization``, closing a minimal realization
+    of [Q P] through the output.  This avoids the repeated-factor blowup
+    of a symbolic adjugate inversion.
+    """
+    ss = transfer_realization(d)
+    return transfer_from_blocks(ss.A, ss.B, ss.C, ss.D)
 
 
 def _limit_s_times(M: RationalMatrix) -> np.ndarray:

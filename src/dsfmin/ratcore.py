@@ -624,18 +624,31 @@ def to_pole_residue(M: RationalMatrix, tol_pole: float = TOL_POLE):
     return PoleResidueForm(np.asarray(kept_poles), residues, constant)
 
 
+def _real(x, what: str, error) -> np.ndarray:
+    """``x`` as a float array; ``error`` if it has a nonzero imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if np.any(x.imag != 0.0):
+            raise error(f"{what} with a nonzero imaginary part; only real values are supported")
+        x = x.real
+    return x.astype(float, copy=False)
+
+
 class PoleResidueForm:
     """Sum of rank-unrestricted residue matrices over distinct real poles.
 
     Represents ``sum_i K_i / (s - lam_i) + D`` with ``poles`` ascending.
+    Complex input is accepted only with zero imaginary parts: a complex
+    pole raises ComplexPolesUnsupported, a complex residue or constant
+    ValueError.
     """
 
     __slots__ = ("poles", "residues", "constant")
 
     def __init__(self, poles, residues, constant):
-        self.poles = np.atleast_1d(np.asarray(poles, dtype=float))
-        self.residues = [np.atleast_2d(np.asarray(K, dtype=float)) for K in residues]
-        self.constant = np.atleast_2d(np.asarray(constant, dtype=float))
+        self.poles = np.atleast_1d(_real(poles, "pole", ComplexPolesUnsupported))
+        self.residues = [np.atleast_2d(_real(K, "residue", ValueError)) for K in residues]
+        self.constant = np.atleast_2d(_real(constant, "constant term", ValueError))
         if len(self.residues) != self.poles.size:
             raise ShapeMismatch("pole and residue counts differ")
         for K in self.residues:

@@ -1,8 +1,11 @@
 """State-space models, transfer functions, and Gilbert realizations.
 
-Transfer functions are computed symbolically through the
-Faddeev-LeVerrier resolvent recursion, which yields the characteristic
-polynomial and the matrix coefficients of adj(sI - A) in one sweep.
+``transfer_from_blocks`` builds a transfer function symbolically through
+the Faddeev-LeVerrier resolvent recursion, which yields the characteristic
+polynomial and the matrix coefficients of adj(sI - A) in one sweep; it is
+the only user of that recursion.  ``kalman_reduce`` finds the minimal part
+of a state-space triple numerically, by an orthogonal staircase whose rank
+decisions are ``_rank`` with ``tol_rank``.
 """
 
 from __future__ import annotations
@@ -205,13 +208,60 @@ def output_normal_form(ss: StateSpace, tol_rank: float = TOL_RANK) -> Partitione
                                   Bo[:p], Bo[p:])
 
 
-def _rank(sv: np.ndarray, tol_rank: float) -> int:
-    """Numerical rank from singular values in descending order."""
-    return int(np.sum(sv > tol_rank * sv[0])) if sv.size and sv[0] > 0.0 else 0
+def _rank(sv: np.ndarray, tol_rank: float, scale: float = None) -> int:
+    """Numerical rank from singular values in descending order.
+
+    A singular value counts when it exceeds ``tol_rank`` times ``scale``,
+    by default the largest singular value.
+    """
+    ref = (sv[0] if sv.size else 0.0) if scale is None else scale
+    return int(np.sum(sv > tol_rank * ref))
 
 
 def _matrix_rank(M: np.ndarray, tol_rank: float = TOL_RANK) -> int:
     return _rank(np.linalg.svd(M, compute_uv=False), tol_rank)
+
+
+def _reachable_basis(A: np.ndarray, B: np.ndarray, tol_rank: float,
+                     scale_b: float, scale_a: float) -> np.ndarray:
+    """Orthonormal basis of the reachable subspace of (A, B), by staircase.
+
+    Each step adds the directions of the newest block that the basis does
+    not yet span: first B, ranked against ``scale_b``, then A times the
+    previous step's directions, ranked against ``scale_a``.  The search
+    ends when a step adds nothing.
+    """
+    n = A.shape[0]
+    Z = np.zeros((n, 0))
+    X, scale = B, scale_b
+    while X.shape[1] and Z.shape[1] < n:
+        for _ in range(2):  # projecting twice keeps Z orthonormal to working precision
+            X = X - Z @ (Z.T @ X)
+        U, sv, _ = np.linalg.svd(X, full_matrices=False)
+        r = _rank(sv, tol_rank, scale)
+        if r == 0:
+            break
+        Z = np.hstack([Z, U[:, :r]])
+        X, scale = A @ U[:, :r], scale_a
+    return Z
+
+
+def kalman_reduce(A, B, C, tol_rank: float = TOL_RANK):
+    """Minimal part (A, B, C) of a state-space triple.
+
+    The reachable subspace of (A, B) is kept, then the observable subspace
+    of what remains, found as the reachable subspace of the dual
+    (A^T, C^T); both are orthonormal staircases (Van Dooren 1981; Varga
+    1981).  Every rank is taken against the norm of the given A, B or C,
+    so a block that projection has left at rounding level counts as zero.
+    The result has the same transfer C (sI - A)^(-1) B and its order is
+    the McMillan degree, possibly zero.
+    """
+    scale_a = np.linalg.norm(A)
+    Z = _reachable_basis(A, B, tol_rank, np.linalg.norm(B), scale_a)
+    Ar, Br, Cr = Z.T @ A @ Z, Z.T @ B, C @ Z
+    Z = _reachable_basis(Ar.T, Cr.T, tol_rank, np.linalg.norm(C), scale_a)
+    return Z.T @ Ar @ Z, Z.T @ Br, Cr @ Z
 
 
 def rank_factorization(K: np.ndarray, tol_rank: float = TOL_RANK):

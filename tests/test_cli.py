@@ -117,6 +117,12 @@ class TestMinrealCommand:
         for k in range(1, 5):
             assert (tmp_path / f"realization_{k}.json").exists()
 
+    def test_readme_example_mcmillan_degree(self, tmp_path, capsys):
+        # G of the README example has complex poles; its degree is the order 5
+        code = main(["minreal", write_ex1(tmp_path), "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "mcmillan degree of G: 5" in capsys.readouterr().out
+
     def test_byte_stable(self, tmp_path, capsys):
         model = write_ex2(tmp_path)
         runs = []

@@ -1,21 +1,29 @@
 """Structure-function extraction, composition, and consistency."""
 
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from dsfmin import (
     DSF,
     PartitionedRealization,
+    RationalFunction,
+    RationalMatrix,
     boolean_structure,
     compute_dsf,
+    compute_wv,
     consistency_check,
     dsf_to_transfer,
     mcmillan_degree,
+    minreal_pipeline,
     rmat_equal,
     structure_limits,
     transfer_function,
 )
-from dsfmin.errors import ShapeMismatch
+from dsfmin.errors import ComplexPolesUnsupported, RepeatedPole, ShapeMismatch
 
 from conftest import ZERO, ex1_dsf_closed_form, random_dsf, random_partition, rmat
 
@@ -227,3 +235,87 @@ class TestDsfInvariantsAtConstruction:
         for _ in range(30):
             d = random_dsf(rng, 4, 2, 16)
             assert d.p == 4
+
+
+def _relay_blocks():
+    """perfbench's relay_blocks generator, imported by path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "generators.py")
+    spec = importlib.util.spec_from_file_location("dsfmin_perfbench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module.relay_blocks
+
+
+def _partition(A, B, p):
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return PartitionedRealization(A[:p, :p], A[:p, p:], A[p:, :p], A[p:, p:], B[:p], B[p:])
+
+
+class TestRowRealization:
+    """compute_dsf from a Kalman reduction of each row system."""
+
+    @staticmethod
+    def symbolic(part):
+        # Q_ij = W_ij / (s - W_ii) and P_ij = V_ij / (s - W_ii)
+        W, V = compute_wv(part)
+        s = RationalFunction([0.0, 1.0])
+        gaps = [s - W.entries[i][i] for i in range(part.p)]
+        Q = [[RationalFunction([0.0]) if i == j else W.entries[i][j] / gaps[i]
+              for j in range(part.p)] for i in range(part.p)]
+        P = [[V.entries[i][j] / gaps[i] for j in range(part.m)] for i in range(part.p)]
+        return RationalMatrix(Q), RationalMatrix(P)
+
+    def test_agrees_with_symbolic_reference(self):
+        rng = np.random.default_rng(71)
+        relay_blocks = _relay_blocks()
+        parts = [random_partition(rng, int(rng.integers(1, 5)), int(rng.integers(0, 4)),
+                                  int(rng.integers(1, 3))) for _ in range(20)]
+        for size in ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4)) * 4:
+            b = relay_blocks(rng, *size, 2)
+            parts.append(PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2))
+        for part in parts:
+            d = compute_dsf(part)
+            Q, P = self.symbolic(part)
+            assert rmat_equal(d.Q, Q, 1e-9)
+            assert rmat_equal(d.P, P, 1e-9)
+
+    def test_shared_pole_of_two_hidden_states_is_simple(self):
+        # z1 and z2 both sit at -3 and both feed y1; y1 sees one mode there
+        A = [[-1., 0., 1., 1.], [0., -2., 0., 0.], [0., 1., -3., 0.], [0., 0., 0., -3.]]
+        d = compute_dsf(_partition(A, [[0.], [1.], [0.], [1.]], 2))
+        for e in (d.Q.entries[0][1], d.P.entries[0][0]):
+            assert np.allclose(np.sort(e.poles().real), [-3.0, -1.0])
+
+    def test_jordan_block_seen_by_a_row_is_repeated(self):
+        A = [[-1., 1., 0.], [0., -3., 1.], [0., 0., -3.]]
+        with pytest.raises(RepeatedPole):
+            compute_dsf(_partition(A, [[0.], [0.], [1.]], 1))
+
+    def test_complex_mode_seen_by_a_row_is_rejected(self):
+        A = [[-1., 1., 0.], [0., -1., 2.], [0., -2., -1.]]
+        with pytest.raises(ComplexPolesUnsupported):
+            compute_dsf(_partition(A, [[0.], [0.], [1.]], 1))
+
+    @pytest.mark.parametrize("A22", [[[-1., 2.], [-2., -1.]], [[-3., 1.], [0., -3.]]])
+    def test_mode_no_row_sees_is_dropped(self, A22):
+        # the hidden states are driven by y1 and u but feed no measured state
+        A = np.zeros((4, 4))
+        A[:2, :2] = [[-1., 0.], [0.5, -2.]]
+        A[2, 0] = 1.0
+        A[2:, 2:] = A22
+        d = compute_dsf(_partition(A, [[1.], [0.], [1.], [1.]], 2))
+        assert d.Q.entries[0][1].is_zero and d.P.entries[1][0].is_zero
+        assert rmat_equal(d.Q, rmat([[ZERO, ZERO], [([0.5], [2, 1]), ZERO]]))
+        assert rmat_equal(d.P, rmat([[([1], [1, 1])], [ZERO]]))
+
+    def test_relay_five_plus_eight(self):
+        rng = np.random.default_rng(7)
+        relay_blocks = _relay_blocks()
+        for _ in range(30):
+            b = relay_blocks(rng, 5, 8, 2)
+            part = PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
+            result = minreal_pipeline(compute_dsf(part))
+            assert result.order <= 13
+            assert all(r.consistent for r in result.realizations)

@@ -328,6 +328,17 @@ class TestPoleResidueForms:
         with pytest.raises(RepeatedPole):
             residue_at(P, -1.0)
 
+    def test_complex_values_rejected(self):
+        one = np.ones((1, 1))
+        with pytest.raises(ComplexPolesUnsupported):
+            PoleResidueForm(np.array([-1.0 + 2.0j]), [one], np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            PoleResidueForm([-1.0], [one * (1.0 + 1.0j)], np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            PoleResidueForm([-1.0], [one], np.zeros((1, 1)) + 1.0j)
+        prf = PoleResidueForm(np.array([-1.0 + 0.0j]), [one + 0.0j], np.zeros((1, 1)))
+        assert prf.poles.dtype == float and prf.poles[0] == -1.0
+
 
 def _random_dsf_form(rng, p, m, l):
     """Pole-residue form of [Q P], drawn as ``conftest.random_dsf`` draws it."""

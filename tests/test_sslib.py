@@ -9,6 +9,7 @@ from dsfmin import (
     compute_wv,
     gilbert_realization,
     is_invariant_zero,
+    kalman_reduce,
     mcmillan_degree,
     output_normal_form,
     rmat_equal,
@@ -131,6 +132,37 @@ class TestGilbertRealization:
             E, F, r = rank_factorization(K)
             assert r == 1
             assert np.max(np.abs(E @ F - K)) < 1e-8
+
+
+class TestKalmanReduce:
+    def test_drops_unreachable_and_unobservable_modes(self):
+        rng = np.random.default_rng(33)
+        A0 = np.diag([-1.0, -2.5, -4.0]) + 0.3 * rng.standard_normal((3, 3))
+        B0, C0 = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+        # state 3 is unreachable but observable, state 4 reachable but unobservable
+        A = np.zeros((5, 5))
+        A[:3, :3] = A0
+        A[:3, 3] = rng.standard_normal(3)
+        A[3, 3] = -6.0
+        A[4] = np.concatenate([rng.standard_normal(4), [-7.0]])
+        B = np.vstack([B0, np.zeros((1, 2)), rng.standard_normal((1, 2))])
+        C = np.hstack([C0, rng.standard_normal((2, 1)), np.zeros((2, 1))])
+        T, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        Ar, Br, Cr = kalman_reduce(T @ A @ T.T, T @ B, C @ T.T)
+        assert Ar.shape == (3, 3) and Br.shape == (3, 2) and Cr.shape == (2, 3)
+        for s in (0.5, 2.0 + 1.0j, 10.0):
+            want = C0 @ np.linalg.solve(s * np.eye(3) - A0, B0)
+            got = Cr @ np.linalg.solve(s * np.eye(3) - Ar, Br)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)) + 1e-14
+
+    def test_zero_transfer_has_order_zero(self):
+        A = np.diag([-1.0, -2.0])
+        assert kalman_reduce(A, np.zeros((2, 1)), np.ones((1, 2)))[0].shape == (0, 0)
+        assert kalman_reduce(A, np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))[0].shape == (0, 0)
+
+    def test_minimal_system_keeps_its_order(self):
+        A, B, C = ex1_matrices()
+        assert kalman_reduce(A, B, C)[0].shape == (5, 5)
 
 
 class TestMcmillanDegree:
