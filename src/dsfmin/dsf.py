@@ -11,8 +11,8 @@ P_ij = V_ij / (s - W_ii).
 transfer of a row system with 1 + h states; an orthogonal staircase
 (``sslib.kalman_reduce``) reduces it to the modes the row sees, an
 eigendecomposition gives their poles and residues, residues at or below
-TOL_RANK times the row's largest count as zero, and ``from_pole_residue``
-builds the entries.
+TOL_RANK times the row's largest (each relative to its input column's
+norm) count as zero, and ``from_pole_residue`` builds the row's entries.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
     PoleResidueForm,
+    RationalFunction,
     RationalMatrix,
     chain_clusters,
     from_pole_residue,
@@ -40,6 +41,7 @@ from .sslib import (
     TOL_RANK,
     PartitionedRealization,
     StateSpace,
+    column_norms,
     gilbert_realization,
     kalman_reduce,
     transfer_from_blocks,
@@ -136,40 +138,45 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     cannot see, so what remains is minimal and, having one output, cyclic.
     An eigendecomposition A_min = V diag(lam) V^(-1) then gives the row's
     poles and residues (C_min v_k) (V^(-1) B_min)_k, with no rational
-    arithmetic.  A complex eigenvalue raises ComplexPolesUnsupported and
-    two within ``tol_pole`` raise RepeatedPole: in a cyclic system that
-    is a multiple pole.  Residues at or below TOL_RANK times the row's
-    largest are rounding noise and count as zero.  ``from_pole_residue``
-    builds the entries and DSF validates them.
+    arithmetic.  A complex eigenvalue raises ComplexPolesUnsupported.
+    Residues at or below TOL_RANK times the row's largest are rounding
+    noise and count as zero, each residue taken relative to the norm of
+    its column of B_i, so that neither this floor nor the staircase
+    depends on the units of an input or a coupling.  Two eigenvalues
+    within ``tol_pole`` that both keep a residue in one column raise
+    RepeatedPole: in a cyclic system they are a multiple pole of that
+    entry, as DSF's per-entry rule has it.  ``from_pole_residue`` builds
+    the row's entries and DSF validates them.
     """
-    p, m = part.p, part.m
+    p = part.p
     ss = part.assemble()
     hidden = list(range(p, part.order))
-    poles, KQ, KP = [], [], []
+    zero = RationalFunction([0.0])
+    Q, P = [], []
     for i in range(p):
         idx = [i, *hidden]
         others = [j for j in range(p) if j != i]
-        A, B, C = kalman_reduce(ss.A[np.ix_(idx, idx)],
-                                np.hstack([ss.A[np.ix_(idx, others)], ss.B[idx]]),
-                                np.eye(1, len(idx)))
+        B = np.hstack([ss.A[np.ix_(idx, others)], ss.B[idx]])
+        norms = column_norms(B)
+        A, B, C = kalman_reduce(ss.A[np.ix_(idx, idx)], B, np.eye(1, len(idx)))
         lam, V = np.linalg.eig(A)
         if np.any(np.abs(lam.imag) > tol_pole):
             raise ComplexPolesUnsupported(
                 f"row {i} of [Q P] has complex poles; only real poles are supported")
-        if len(chain_clusters(lam.real, tol_pole)) < lam.size:
-            raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
         R = ((C @ V).T * np.linalg.solve(V, B)).real
-        R[np.abs(R) <= TOL_RANK * np.max(np.abs(R), initial=0.0)] = 0.0
-        kq = np.zeros((lam.size, p, p))
-        kq[:, i, others] = R[:, :p - 1]
-        kp = np.zeros((lam.size, p, m))
-        kp[:, i] = R[:, p - 1:]
-        poles.extend(lam.real)
-        KQ.extend(kq)
-        KP.extend(kp)
-    Q = from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((p, p))))
-    P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((p, m))))
-    return DSF(Q, P, tol_pole)
+        scaled = np.abs(R) / norms
+        R[scaled <= TOL_RANK * np.max(scaled, initial=0.0)] = 0.0
+        if len(chain_clusters(lam.real, tol_pole)) < lam.size:
+            # close poles of a row are repeated only where one entry has both
+            for col in R.T:
+                seen = lam.real[col != 0.0]
+                if len(chain_clusters(seen, tol_pole)) < seen.size:
+                    raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
+        row = from_pole_residue(PoleResidueForm(
+            lam.real, R[:, None, :], np.zeros((1, R.shape[1])))).entries[0]
+        Q.append([*row[:i], zero, *row[i:p - 1]])
+        P.append(row[p - 1:])
+    return DSF(RationalMatrix(Q), RationalMatrix(P), tol_pole)
 
 
 def transfer_realization(d: DSF) -> StateSpace:

@@ -5,7 +5,7 @@ the Faddeev-LeVerrier resolvent recursion, which yields the characteristic
 polynomial and the matrix coefficients of adj(sI - A) in one sweep; it is
 the only user of that recursion.  ``kalman_reduce`` finds the minimal part
 of a state-space triple numerically, by an orthogonal staircase whose rank
-decisions are ``_rank`` with ``tol_rank``.
+decisions are ``_rank`` with ``TOL_RANK``.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def _matrix_rank(M: np.ndarray, tol_rank: float = TOL_RANK) -> int:
     return _rank(np.linalg.svd(M, compute_uv=False), tol_rank)
 
 
-def _reachable_basis(A: np.ndarray, B: np.ndarray, tol_rank: float,
-                     scale_b: float, scale_a: float) -> np.ndarray:
+def _reachable_basis(A: np.ndarray, B: np.ndarray, scale_b: float,
+                     scale_a: float) -> np.ndarray:
     """Orthonormal basis of the reachable subspace of (A, B), by staircase.
 
     Each step adds the directions of the newest block that the basis does
@@ -238,7 +238,7 @@ def _reachable_basis(A: np.ndarray, B: np.ndarray, tol_rank: float,
         for _ in range(2):  # projecting twice keeps Z orthonormal to working precision
             X = X - Z @ (Z.T @ X)
         U, sv, _ = np.linalg.svd(X, full_matrices=False)
-        r = _rank(sv, tol_rank, scale)
+        r = _rank(sv, TOL_RANK, scale)
         if r == 0:
             break
         Z = np.hstack([Z, U[:, :r]])
@@ -246,21 +246,32 @@ def _reachable_basis(A: np.ndarray, B: np.ndarray, tol_rank: float,
     return Z
 
 
-def kalman_reduce(A, B, C, tol_rank: float = TOL_RANK):
+def column_norms(M: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of M, with 1 for a zero column."""
+    norms = np.linalg.norm(M, axis=0)
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
+def kalman_reduce(A, B, C):
     """Minimal part (A, B, C) of a state-space triple.
 
     The reachable subspace of (A, B) is kept, then the observable subspace
     of what remains, found as the reachable subspace of the dual
     (A^T, C^T); both are orthonormal staircases (Van Dooren 1981; Varga
-    1981).  Every rank is taken against the norm of the given A, B or C,
-    so a block that projection has left at rounding level counts as zero.
-    The result has the same transfer C (sI - A)^(-1) B and its order is
-    the McMillan degree, possibly zero.
+    1981).  Each column of B and each row of C is divided by its norm
+    before the rank decisions, so the units of an input or an output
+    decide nothing.  Every rank is taken at TOL_RANK against the norm of
+    the scaled B or C, or of A, so a block that projection has left at
+    rounding level counts as zero.  The result has the same transfer
+    C (sI - A)^(-1) B and its order is the McMillan degree, possibly zero.
     """
     scale_a = np.linalg.norm(A)
-    Z = _reachable_basis(A, B, tol_rank, np.linalg.norm(B), scale_a)
+    Bs = B / column_norms(B)
+    Z = _reachable_basis(A, Bs, np.linalg.norm(Bs), scale_a)
     Ar, Br, Cr = Z.T @ A @ Z, Z.T @ B, C @ Z
-    Z = _reachable_basis(Ar.T, Cr.T, tol_rank, np.linalg.norm(C), scale_a)
+    c = column_norms(C.T)
+    Z = _reachable_basis(Ar.T, Cr.T / c, np.linalg.norm(C.T / c), scale_a)
     return Z.T @ Ar @ Z, Z.T @ Br, Cr @ Z
 
 

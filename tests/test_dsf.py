@@ -10,6 +10,7 @@ import pytest
 from dsfmin import (
     DSF,
     PartitionedRealization,
+    PoleResidueForm,
     RationalFunction,
     RationalMatrix,
     boolean_structure,
@@ -17,6 +18,7 @@ from dsfmin import (
     compute_wv,
     consistency_check,
     dsf_to_transfer,
+    from_pole_residue,
     mcmillan_degree,
     minreal_pipeline,
     rmat_equal,
@@ -297,6 +299,39 @@ class TestRowRealization:
         A = [[-1., 1., 0.], [0., -1., 2.], [0., -2., -1.]]
         with pytest.raises(ComplexPolesUnsupported):
             compute_dsf(_partition(A, [[0.], [0.], [1.]], 1))
+
+    def test_close_poles_in_different_entries_are_accepted(self):
+        # y1's row sees -1 through u1 only and -1 + 5e-7 through u2 only:
+        # each entry has a simple pole, as the same pole-residue input has
+        lam = -1.0 + 5e-7
+        d = compute_dsf(_partition([[-1., 5e-7], [0., lam]], [[1., 1.], [0., 1.]], 1))
+        assert rmat_equal(d.P, rmat([[([1], [1, 1]), ([1], [-lam, 1])]]))
+        prf = PoleResidueForm([-1.0, lam], [[[1., 0.]], [[0., 1.]]], np.zeros((1, 2)))
+        assert rmat_equal(DSF(d.Q, from_pole_residue(prf)).P, d.P)
+
+    def test_small_input_keeps_its_entry(self):
+        d = compute_dsf(_partition([[-1., 1.], [1., -2.]], [[1e-9], [0.]], 2))
+        assert d.P.entries[1][0].is_zero
+        assert d.P.entries[0][0](0.0) == pytest.approx(1e-9, rel=1e-12)
+        assert d.P.entries[0][0].poles() == pytest.approx([-1.0])
+
+    def test_column_scaling_scales_only_its_column(self):
+        rng = np.random.default_rng(13)
+        relay_blocks = _relay_blocks()
+        s = np.array([0.3 + 1.1j, -0.7 + 2.3j])
+        for size in ((3, 2), (4, 3), (5, 4)):
+            b = relay_blocks(rng, *size, 2)
+            part = PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
+            scale = np.array([1e-9, 1e9])
+            scaled = PartitionedRealization(b.A11, b.A12, b.A21, b.A22,
+                                            b.B1 * scale, b.B2 * scale)
+            d, ds = compute_dsf(part), compute_dsf(scaled)
+            assert rmat_equal(d.Q, ds.Q, 1e-12)
+            for i in range(d.p):
+                for j in range(d.m):
+                    e, es = d.P.entries[i][j], ds.P.entries[i][j]
+                    assert e.is_zero == es.is_zero
+                    assert np.allclose(es(s), scale[j] * e(s), rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("A22", [[[-1., 2.], [-2., -1.]], [[-3., 1.], [0., -3.]]])
     def test_mode_no_row_sees_is_dropped(self, A22):

@@ -164,6 +164,13 @@ class TestKalmanReduce:
         A, B, C = ex1_matrices()
         assert kalman_reduce(A, B, C)[0].shape == (5, 5)
 
+    def test_small_input_or_output_keeps_its_mode(self):
+        # each mode is seen through one input (output) 1e-9 times the other
+        A = np.diag([-1.0, -2.0])
+        small = np.diag([1.0, 1e-9])
+        assert kalman_reduce(A, small, np.ones((1, 2)))[0].shape == (2, 2)
+        assert kalman_reduce(A, np.ones((2, 1)), small)[0].shape == (2, 2)
+
 
 class TestMcmillanDegree:
     def test_ex2_transfer(self, ex2_dsf):
