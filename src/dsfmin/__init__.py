@@ -16,7 +16,6 @@ from .dsf import (
     consistency_check,
     dsf_to_transfer,
     structure_limits,
-    transfer_realization,
 )
 from .minreal import (
     CliqueResult,

@@ -28,8 +28,8 @@ from .dsf import (
     DSF,
     boolean_structure,
     compute_dsf,
+    consistency_check,
     structure_limits,
-    transfer_realization,
 )
 from .errors import (
     AssumptionError,
@@ -38,7 +38,7 @@ from .errors import (
     RankDeficientC,
     SchemaError,
 )
-from .minreal import EDGE_RULES, FREE_VALUE, TOL_ORTH, minreal_pipeline
+from .minreal import EDGE_RULES, FREE_VALUE, TOL_ORTH, minimal_order, minreal_pipeline
 from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
@@ -242,65 +242,38 @@ def _write_json(obj, path):
 # -- reports ---------------------------------------------------------------
 
 
-@dataclass
-class AnalysisReport:
-    """Aggregated pipeline output for one structure function."""
+def build_report(d: DSF, result) -> str:
+    """The text report of a pipeline result for the structure function d.
 
-    p: int
-    m: int
-    l: int
-    phi: int
-    minimal_order: int
-    hidden_state_count: int
-    mcmillan_degree_G: int
-    phi_sets: list
-    rstar_families: list
-    cancellation_flags: list
-    consistency_verdicts: list
-    zero_match_verdicts: list
-
-    def to_text(self, poles) -> str:
-        out = []
-        out.append(f"measured states p = {self.p}, inputs m = {self.m}")
-        out.append(f"poles of [Q P] (l = {self.l}): "
-                   + ", ".join(_fmt(x) for x in poles))
-        deg = "n/a" if self.mcmillan_degree_G is None else str(self.mcmillan_degree_G)
-        out.append(f"mcmillan degree of G: {deg}")
-        out.append(f"max simultaneous cancellations phi = {self.phi}")
-        sets = "; ".join("{" + ", ".join(_fmt(x) for x in s) + "}"
-                         for s in self.phi_sets)
-        out.append(f"cancellable pole sets: {sets}")
-        out.append(f"minimal consistent order = {self.minimal_order} "
-                   f"(hidden states: {self.hidden_state_count})")
-        for k, fam in enumerate(self.rstar_families):
-            cancelled = [_fmt(poles[i]) for i, f in
-                         enumerate(self.cancellation_flags[k]) if f]
-            out.append(f"realization {k + 1}: R* = {fam}")
-            out.append(f"  cancelled poles: {', '.join(cancelled) if cancelled else 'none'}")
-            out.append(f"  consistency: {'PASS' if self.consistency_verdicts[k] else 'FAIL'}")
-            out.append(f"  zero agreement at cancelled poles: "
-                       f"{'PASS' if self.zero_match_verdicts[k] else 'FAIL'}")
-        return "\n".join(out)
-
-
-def build_report(d: DSF, result) -> AnalysisReport:
-    try:
-        # the McMillan degree of G is the order of a minimal part of any realization
-        ss = transfer_realization(d)
-        deg = kalman_reduce(ss.A, ss.B, ss.C)[0].shape[0]
-    except (AssumptionError, DsfminError):
-        deg = None
-    return AnalysisReport(
-        p=d.p, m=d.m, l=result.l, phi=result.phi,
-        minimal_order=result.order, hidden_state_count=result.hidden,
-        mcmillan_degree_G=deg,
-        phi_sets=[tuple(result.gilbert.poles[i] for i in c)
-                  for c in result.cliques.cliques],
-        rstar_families=[r.rstar.pattern() for r in result.realizations],
-        cancellation_flags=[r.cancellation_flags for r in result.realizations],
-        consistency_verdicts=[r.consistent for r in result.realizations],
-        zero_match_verdicts=[all(c.ok for c in r.zero_checks)
-                         for r in result.realizations])
+    The McMillan degree of G = (I - Q)^(-1) P comes from the modes.  Every
+    residue has rank 1, so A = diag(lam_i), C = [E_i] and the rows
+    F_i / (lam_i - a) of [By Bu] are a minimal realization of [Q P].
+    Closed through the output, (A + By C, Bu, C) realizes G, and the
+    degree is the order ``kalman_reduce`` leaves of it.
+    """
+    g = result.gilbert
+    C = np.array(g.E).reshape(g.l, d.p).T
+    B = np.array([F / (lam - g.shift)
+                  for lam, F in zip(g.poles, g.F)]).reshape(g.l, d.p + d.m)
+    A = np.diag(g.poles).reshape(g.l, g.l) + B[:, :d.p] @ C
+    degree = kalman_reduce(A, B[:, d.p:], C)[0].shape[0]
+    out = [f"measured states p = {d.p}, inputs m = {d.m}",
+           f"poles of [Q P] (l = {result.l}): " + ", ".join(_fmt(x) for x in g.poles),
+           f"mcmillan degree of G: {degree}",
+           f"max simultaneous cancellations phi = {result.phi}"]
+    sets = "; ".join("{" + ", ".join(_fmt(g.poles[i]) for i in c) + "}"
+                     for c in result.cliques.cliques)
+    out.append(f"cancellable pole sets: {sets}")
+    out.append(f"minimal consistent order = {result.order} "
+               f"(hidden states: {result.hidden})")
+    for k, r in enumerate(result.realizations):
+        cancelled = ", ".join(_fmt(x) for x in r.cancelled_poles) or "none"
+        out.append(f"realization {k + 1}: R* = {r.rstar.pattern()}")
+        out.append(f"  cancelled poles: {cancelled}")
+        out.append(f"  consistency: {'PASS' if r.consistent else 'FAIL'}")
+        out.append(f"  zero agreement at cancelled poles: "
+                   f"{'PASS' if all(c.ok for c in r.zero_checks) else 'FAIL'}")
+    return "\n".join(out)
 
 
 # -- graph export -----------------------------------------------------------
@@ -384,13 +357,13 @@ def cmd_minreal(args) -> int:
     d = model_to_dsf(model, tols["tol_pole"])
     result = minreal_pipeline(d, rule=args.edge_rule, enumerate_all=args.enumerate_all,
                               free_value=args.free_value, shift=args.shift, **tols)
-    report = build_report(d, result)
-    print(report.to_text(result.gilbert.poles))
+    print(build_report(d, result))
     for k, r in enumerate(result.realizations):
         path = f"{args.out_dir}/realization_{k + 1}.json"
         _write_json(part_to_json(r.realization), path)
         print(f"wrote {path}")
-    ok = all(report.consistency_verdicts) and all(report.zero_match_verdicts)
+    ok = all(r.consistent and all(c.ok for c in r.zero_checks)
+             for r in result.realizations)
     return 0 if ok else 1
 
 
@@ -408,9 +381,6 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .dsf import consistency_check
-    from .minreal import minimal_order
-
     model = parse_model(args.model, args.tol_pole)
     tols = _resolve_tolerances(args, model)
     d = model_to_dsf(model, tols["tol_pole"])

@@ -40,7 +40,6 @@ from .ratcore import (
 from .sslib import (
     TOL_RANK,
     PartitionedRealization,
-    StateSpace,
     column_norms,
     gilbert_realization,
     kalman_reduce,
@@ -138,7 +137,9 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     cannot see, so what remains is minimal and, having one output, cyclic.
     An eigendecomposition A_min = V diag(lam) V^(-1) then gives the row's
     poles and residues (C_min v_k) (V^(-1) B_min)_k, with no rational
-    arithmetic.  A complex eigenvalue raises ComplexPolesUnsupported.
+    arithmetic.  Eigenvectors with condition number above 1/TOL_RANK mark
+    a defective eigenvalue, in a cyclic system a multiple pole, and raise
+    RepeatedPole; a complex eigenvalue then raises ComplexPolesUnsupported.
     Residues at or below TOL_RANK times the row's largest are rounding
     noise and count as zero, each residue taken relative to the norm of
     its column of B_i, so that neither this floor nor the staircase
@@ -160,6 +161,9 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
         norms = column_norms(B)
         A, B, C = kalman_reduce(ss.A[np.ix_(idx, idx)], B, np.eye(1, len(idx)))
         lam, V = np.linalg.eig(A)
+        if lam.size > 1 and np.linalg.cond(V) > 1.0 / TOL_RANK:
+            # a cyclic row has a defective eigenvalue only as a multiple pole
+            raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
         if np.any(np.abs(lam.imag) > tol_pole):
             raise ComplexPolesUnsupported(
                 f"row {i} of [Q P] has complex poles; only real poles are supported")
@@ -179,31 +183,19 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     return DSF(RationalMatrix(Q), RationalMatrix(P), tol_pole)
 
 
-def transfer_realization(d: DSF) -> StateSpace:
-    """A realization (A + By C, Bu, C) of G = (I - Q)^(-1) P.
-
-    With a minimal realization [Q P] = C (sI - A)^(-1) [By Bu], the
-    relation Y = Q Y + P U gives G = C (sI - A - By C)^(-1) Bu.  The
-    result need not be minimal: Bu may not reach every mode.
-    """
-    qp_ss = gilbert_realization(d.qp(), d.tol_pole)
-    By = qp_ss.B[:, :d.p]
-    Bu = qp_ss.B[:, d.p:]
-    Acl = qp_ss.A + By @ qp_ss.C
-    if not np.isfinite(Acl).all():
-        raise SingularIminusQ("det(I - Q) is identically zero")
-    return StateSpace(Acl, Bu, qp_ss.C)
-
-
 def dsf_to_transfer(d: DSF) -> RationalMatrix:
     """Transfer function G = (I - Q)^(-1) P.
 
-    Computed from ``transfer_realization``, closing a minimal realization
-    of [Q P] through the output.  This avoids the repeated-factor blowup
+    With a minimal realization [Q P] = C (sI - A)^(-1) [By Bu], the
+    relation Y = Q Y + P U gives G = C (sI - A - By C)^(-1) Bu.  Closing
+    the realization through the output avoids the repeated-factor blowup
     of a symbolic adjugate inversion.
     """
-    ss = transfer_realization(d)
-    return transfer_from_blocks(ss.A, ss.B, ss.C, ss.D)
+    qp_ss = gilbert_realization(d.qp(), d.tol_pole)
+    Acl = qp_ss.A + qp_ss.B[:, :d.p] @ qp_ss.C
+    if not np.isfinite(Acl).all():
+        raise SingularIminusQ("det(I - Q) is identically zero")
+    return transfer_from_blocks(Acl, qp_ss.B[:, d.p:], qp_ss.C, np.zeros((d.p, d.m)))
 
 
 def _limit_s_times(M: RationalMatrix) -> np.ndarray:

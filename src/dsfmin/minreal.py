@@ -257,44 +257,40 @@ def construct_rstar(g: GilbertData, clique, free_value: float = FREE_VALUE,
     return RStar(tuple(entries), free_value)
 
 
-def _n_factors(g: GilbertData, rvec: np.ndarray):
-    """Vectors N(lam_i) applied entrywise: (lam_i - r_j) / (lam_i - a)."""
-    out = []
-    for lam in g.poles:
+def cancellation_check(g: GilbertData, r, tol: float = TOL_CANCEL) -> list:
+    """Per-pole flags: True where N(lam_i) E_i vanishes (pole removed).
+
+    N(lam_i) acts entrywise as (lam_i - r_j) / (lam_i - a).
+    """
+    rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
+    flags = []
+    for lam, E in zip(g.poles, g.E):
         if abs(lam - g.shift) < 1e-9:
             raise PoleAtZeroWithoutShift(
                 f"cannot evaluate the cancellation factor at pole {lam} with shift {g.shift}")
-        out.append((lam - rvec) / (lam - g.shift))
-    return out
-
-
-def cancellation_check(g: GilbertData, r, tol: float = TOL_CANCEL) -> list:
-    """Per-pole flags: True where N(lam_i) E_i vanishes (pole removed)."""
-    rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
-    flags = []
-    for nv, E in zip(_n_factors(g, rvec), g.E):
+        nv = (lam - rvec) / (lam - g.shift)
         flags.append(bool(np.max(np.abs(nv * E)) <= tol * np.max(np.abs(E))))
     return flags
 
 
-def _assemble(g: GilbertData, rvec: np.ndarray, tol_cancel: float,
-              keep_cancelled: bool) -> PartitionedRealization:
-    """Realization of [W V] = [R 0] + D1 + sum_i N(lam_i) K_i / (s - lam_i)."""
+def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
+    """Realization of [W V] = [R 0] + D1 + sum_i N(lam_i) K_i / (s - lam_i).
+
+    Only the modes listed in ``keep`` get a hidden state; listing every
+    mode gives the full cascade, where a cancelled pole stays as an
+    unobservable state.
+    """
     p, m = g.p, g.m
     A11 = g.D1[:, :p].copy()
     np.fill_diagonal(A11, 0.0)
     A11 += np.diag(rvec)
-    B1 = g.D1[:, p:].copy()
-    flags = cancellation_check(g, rvec, tol_cancel)
-    keep = [i for i in range(g.l) if keep_cancelled or not flags[i]]
-    nvs = _n_factors(g, rvec)
     h = len(keep)
-    A22 = np.diag([g.poles[i] for i in keep]) if h else np.zeros((0, 0))
-    A12 = (np.column_stack([nvs[i] * g.E[i] for i in keep])
-           if h else np.zeros((p, 0)))
-    A21 = (np.vstack([g.F[i][:p] for i in keep]) if h else np.zeros((0, p)))
-    B2 = (np.vstack([g.F[i][p:] for i in keep]) if h else np.zeros((0, m)))
-    return PartitionedRealization(A11, A12, A21, A22, B1, B2)
+    A12 = (np.column_stack([(g.poles[i] - rvec) / (g.poles[i] - g.shift) * g.E[i]
+                            for i in keep]) if h else np.zeros((p, 0)))
+    A21 = np.array([g.F[i][:p] for i in keep]).reshape(h, p)
+    B2 = np.array([g.F[i][p:] for i in keep]).reshape(h, m)
+    A22 = np.diag([g.poles[i] for i in keep]).reshape(h, h)
+    return PartitionedRealization(A11, A12, A21, A22, g.D1[:, p:].copy(), B2)
 
 
 def realize(d: DSF, r: RStar, modes: GilbertData = None,
@@ -308,7 +304,8 @@ def realize(d: DSF, r: RStar, modes: GilbertData = None,
     """
     g = modes if modes is not None else extract_modes(d, tol_pole, tol_rank, shift)
     rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
-    return _assemble(g, rvec, tol_cancel, keep_cancelled=False)
+    flags = cancellation_check(g, rvec, tol_cancel)
+    return _assemble(g, rvec, [i for i, f in enumerate(flags) if not f])
 
 
 @dataclass
@@ -348,7 +345,7 @@ class PipelineResult:
     realizations: list
 
 
-def _zero_point_tests(g: GilbertData, rvec, flags, tol_rank):
+def _zero_point_tests(g: GilbertData, flags, full: PartitionedRealization, tol_rank):
     """Invariant-zero agreement at cancelled poles and a control point.
 
     Both tests run on the full (uncancelled) cascade, where a removed
@@ -362,7 +359,6 @@ def _zero_point_tests(g: GilbertData, rvec, flags, tol_rank):
         points.append((0.5 * (g.poles[0] + g.poles[1]), False))
     if not points:
         return []
-    full = _assemble(g, rvec, TOL_CANCEL, keep_cancelled=True)
     systems = [StateSpace(full.A22, full.B2, full.A12, full.B1), full.assemble()]
     ranks = [_transfer_normal_rank(ss, tol_rank) for ss in systems]
     checks = []
@@ -392,11 +388,13 @@ def minreal_pipeline(d: DSF, rule: str = "support-disjoint",
     for clique in cl.cliques:
         rstar = construct_rstar(g, clique, free_value, tol_orth)
         rvec = rstar.materialize()
-        part = _assemble(g, rvec, TOL_CANCEL, keep_cancelled=False)
         flags = cancellation_check(g, rvec)
+        keep = [i for i, f in enumerate(flags) if not f]
+        part = _assemble(g, rvec, keep)
+        full = part if len(keep) == g.l else _assemble(g, rvec, range(g.l))
         cancelled = [g.poles[i] for i in range(g.l) if flags[i]]
         consistent = consistency_check(part, d, tol_eval)
-        checks = _zero_point_tests(g, rvec, flags, tol_rank)
+        checks = _zero_point_tests(g, flags, full, tol_rank)
         reports.append(RealizationReport(rstar, part, part.order, cancelled,
                                          flags, consistent, checks))
     return PipelineResult(g, cg, cl, g.l, cl.phi, order, g.l - cl.phi, reports)

@@ -1,11 +1,10 @@
 """State-space models, transfer functions, and Gilbert realizations.
 
-``transfer_from_blocks`` builds a transfer function symbolically through
-the Faddeev-LeVerrier resolvent recursion, which yields the characteristic
-polynomial and the matrix coefficients of adj(sI - A) in one sweep; it is
-the only user of that recursion.  ``kalman_reduce`` finds the minimal part
-of a state-space triple numerically, by an orthogonal staircase whose rank
-decisions are ``_rank`` with ``TOL_RANK``.
+``transfer_from_blocks`` builds each entry c (sI - A)^(-1) b + d from
+characteristic polynomials, det(sI - A + b c) - det(sI - A) over
+det(sI - A), each taken from eigenvalues.  ``kalman_reduce`` finds the
+minimal part of a state-space triple numerically, by an orthogonal
+staircase whose rank decisions are ``_rank`` with ``TOL_RANK``.
 """
 
 from __future__ import annotations
@@ -130,30 +129,24 @@ class PartitionedRealization:
         return StateSpace(A, B, C)
 
 
-def _resolvent(A: np.ndarray):
-    """Coefficients of adj(sI - A) and char(sI - A), Faddeev-LeVerrier.
+def _char_poly(M: np.ndarray):
+    """Ascending coefficients of det(sI - M) and of prod(s + |lam_k|).
 
-    Returns (mats, char) with adj(sI - A) = sum_k mats[k] s^(n-1-k) and
-    char the ascending coefficients of det(sI - A).
+    The second bounds the first coefficient by coefficient, so it is the
+    scale of each coefficient's rounding error.
     """
-    n = A.shape[0]
-    if n == 0:
-        return [], np.array([1.0])
-    N = np.eye(n)
-    mats = [N]
-    coeffs_desc = [1.0]
-    for k in range(1, n + 1):
-        AN = A @ N
-        ak = -np.trace(AN) / k
-        coeffs_desc.append(ak)
-        N = AN + ak * np.eye(n)
-        if k < n:
-            mats.append(N)
-    return mats, np.asarray(coeffs_desc[::-1])
+    lam = np.linalg.eigvals(M)
+    return np.poly(lam).real[::-1], np.poly(-np.abs(lam))[::-1]
 
 
 def transfer_from_blocks(A, B, C, D) -> RationalMatrix:
-    """C (sI - A)^(-1) B + D as a reduced rational matrix."""
+    """C (sI - A)^(-1) B + D as a reduced rational matrix.
+
+    By the matrix determinant lemma, c (sI - A)^(-1) b equals
+    [det(sI - A + b c) - det(sI - A)] / det(sI - A), so entry (i, j) has
+    numerator char(A - b_j c_i) - char(A) + D_ij char(A) over char(A),
+    each characteristic polynomial built from eigenvalues.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
     n = A.shape[0]
@@ -161,20 +154,16 @@ def transfer_from_blocks(A, B, C, D) -> RationalMatrix:
         return RationalMatrix.from_real(D)
     B = np.asarray(B, dtype=float).reshape(n, -1)
     C = np.asarray(C, dtype=float).reshape(-1, n)
-    mats, char = _resolvent(A)
-    terms = [C @ Nk @ B for Nk in mats]  # coefficient of s^(n-1-k)
+    char, char_scale = _char_poly(A)
     out = []
     for i in range(D.shape[0]):
         row = []
         for j in range(D.shape[1]):
-            num_desc = [terms[k][i, j] for k in range(n)]
-            num = np.asarray(num_desc[::-1])
-            num = np.polynomial.polynomial.polyadd(num, D[i, j] * char)
-            # coefficients far below the summand scale are cancellation noise
-            scale = max(np.max(np.abs(num_desc)),
-                        abs(D[i, j]) * np.max(np.abs(char)), 1.0)
-            num = np.where(np.abs(num) > 1e-12 * scale, num, 0.0)
-            row.append(RationalFunction(num, char))
+            pert, pert_scale = _char_poly(A - np.outer(B[:, j], C[i]))
+            num = pert - char
+            # a coefficient far below its summands' scale is cancellation noise
+            num[np.abs(num) <= 1e-12 * np.maximum(char_scale, pert_scale)] = 0.0
+            row.append(RationalFunction(num + D[i, j] * char, char))
         out.append(row)
     return RationalMatrix(out)
 

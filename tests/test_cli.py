@@ -1,15 +1,17 @@
 """Command-line interface: file formats, commands, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dsfmin import rmat_equal
+from dsfmin import kalman_reduce, rmat_equal
 from dsfmin.cli import dsf_to_json, main, parse_model, part_to_json
 from dsfmin.errors import SchemaError
 
 from conftest import ZERO, ex1_matrices, rmat
+from test_dsf import _relay_blocks
 
 
 EX2_JSON = {
@@ -122,6 +124,28 @@ class TestMinrealCommand:
         code = main(["minreal", write_ex1(tmp_path), "--out-dir", str(tmp_path)])
         assert code == 0
         assert "mcmillan degree of G: 5" in capsys.readouterr().out
+
+    def test_relay_mcmillan_degree_is_staircase_order(self, tmp_path, capsys):
+        # the report's degree, from the pipeline's modes, against the order
+        # the staircase leaves of each model's own (A, B, [I 0])
+        relay_blocks = _relay_blocks()
+        rng = np.random.default_rng(5)
+        sizes = [(3, 2), (4, 2), (4, 3), (5, 3), (5, 4)]
+        for k in range(20):
+            p, h = sizes[k % len(sizes)]
+            b = relay_blocks(rng, p, h, 2)
+            path = tmp_path / f"relay_{k}.json"
+            path.write_text(json.dumps({"kind": "state_space", "A": b.A.tolist(),
+                                        "B": b.B.tolist(), "p": p}))
+            assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 0
+            degree = kalman_reduce(b.A, b.B, np.eye(p, p + h))[0].shape[0]
+            assert f"mcmillan degree of G: {degree}\n" in capsys.readouterr().out
+
+    def test_readme_library_example(self, capsys):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[0] == "3 5"
 
     def test_byte_stable(self, tmp_path, capsys):
         model = write_ex2(tmp_path)

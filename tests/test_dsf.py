@@ -19,6 +19,7 @@ from dsfmin import (
     consistency_check,
     dsf_to_transfer,
     from_pole_residue,
+    kalman_reduce,
     mcmillan_degree,
     minreal_pipeline,
     rmat_equal,
@@ -294,6 +295,24 @@ class TestRowRealization:
         A = [[-1., 1., 0.], [0., -3., 1.], [0., 0., -3.]]
         with pytest.raises(RepeatedPole):
             compute_dsf(_partition(A, [[0.], [0.], [1.]], 1))
+
+    def test_similar_jordan_block_of_order_three_is_repeated(self):
+        # A = S J S^-1 with J one 3x3 Jordan block: eig returns a ring of
+        # radius about 1e-5 around the eigenvalue, which looks complex
+        rng = np.random.default_rng(1)
+        kept = 0
+        for lam in (0.0, -1.0, -3.0):
+            J = lam * np.eye(3) + np.diag([1.0, 1.0], 1)
+            for _ in range(50):
+                S = rng.standard_normal((3, 3))
+                A = S @ J @ np.linalg.inv(S)
+                B = rng.standard_normal((3, 1))
+                if kalman_reduce(A, B, np.eye(1, 3))[0].shape[0] < 3:
+                    continue  # the staircase dropped a state of an ill-conditioned S
+                kept += 1
+                with pytest.raises(RepeatedPole):
+                    compute_dsf(_partition(A, B, 1))
+        assert kept >= 140
 
     def test_complex_mode_seen_by_a_row_is_rejected(self):
         A = [[-1., 1., 0.], [0., -1., 2.], [0., -2., -1.]]

@@ -58,6 +58,20 @@ class TestTransferFunction:
         G = transfer_from_blocks(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D)
         assert np.array_equal(rmat_eval(G, 1.0), D)
 
+    @pytest.mark.parametrize("n", [8, 16, 20])
+    def test_large_sparse_state_matches_resolvent(self, n):
+        # sparse A around -2 I with dense B and C; 30 draws per size
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3) - 2.0 * np.eye(n)
+            B = rng.standard_normal((n, 2))
+            C = rng.standard_normal((2, n))
+            G = transfer_from_blocks(A, B, C, np.zeros((2, 2)))
+            for s in (1j, 2.0, 0.5 + 3j):
+                want = C @ np.linalg.solve(s * np.eye(n) - A, B)
+                err = np.max(np.abs(rmat_eval(G, s) - want)) / np.max(np.abs(want))
+                assert err <= 1e-10
+
 
 class TestOutputNormalForm:
     def test_identity_output_reads_off_blocks(self):
