@@ -10,7 +10,7 @@ Model files are JSON with a ``kind`` discriminator:
                          "KQ": [[[..]]], "KP": [[[..]]]}
 
 Any file may carry a ``tolerances`` object; its values override both the
-defaults and the command-line flags.
+defaults and the command-line flags.  ``parse_model`` resolves them once.
 Exit codes: 0 success, 1 verification failure, 2 assumption violation,
 3 I/O or schema error.
 """
@@ -56,7 +56,9 @@ from .sslib import (
     output_normal_form,
 )
 
-TOL_FLAGS = ("tol_pole", "tol_rank", "tol_orth", "tol_eval", "tol_root")
+# every tolerance a model file or a flag may set, with its default
+TOL_FLAGS = {"tol_pole": TOL_POLE, "tol_rank": TOL_RANK, "tol_orth": TOL_ORTH,
+             "tol_eval": TOL_EVAL, "tol_root": TOL_ROOT}
 
 
 def _fmt(x: float) -> str:
@@ -70,7 +72,7 @@ class ModelFile:
     kind: str
     part: PartitionedRealization = None  # state_space kind
     dsf: DSF = None                      # dsf kinds
-    tolerances: dict = None
+    tolerances: dict = None              # every key of TOL_FLAGS, resolved
 
 
 def _as_grid(obj, what):
@@ -104,11 +106,13 @@ def _rmat_from_json(obj, what, tol_root):
                            for i, row in enumerate(obj)])
 
 
-def parse_model(path: str, tol_pole: float = TOL_POLE) -> ModelFile:
+def parse_model(path: str, flags=None) -> ModelFile:
     """Load and validate a model file; see the module docstring for schemas.
 
-    A structure function is validated with ``tol_pole`` unless the file's
-    own tolerances give one, which wins as in ``_resolve_tolerances``.
+    The tolerances are resolved once: the defaults, then the values of
+    ``flags`` (a mapping such as ``vars(args)``; keys other than
+    tolerances are ignored), then the file's own.  A structure function
+    is validated with the resolved ``tol_pole``.
     """
     try:
         with open(path) as fh:
@@ -122,13 +126,13 @@ def parse_model(path: str, tol_pole: float = TOL_POLE) -> ModelFile:
     kind = raw["kind"]
     tols = raw.get("tolerances") or {}
     if not isinstance(tols, dict) or any(k not in TOL_FLAGS for k in tols):
-        raise SchemaError(f"{path}: tolerances must be a subset of {TOL_FLAGS}")
+        raise SchemaError(f"{path}: tolerances must be a subset of {tuple(TOL_FLAGS)}")
     try:
         tols = {key: float(value) for key, value in tols.items()}
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: tolerances must be numbers") from exc
-    tol_pole = tols.get("tol_pole", tol_pole)
-    tol_root = tols.get("tol_root", TOL_ROOT)
+    flags = {key: v for key, v in (flags or {}).items() if key in TOL_FLAGS}
+    tols = {**TOL_FLAGS, **flags, **tols}
 
     if kind == "state_space":
         for key in ("A", "B"):
@@ -166,8 +170,8 @@ def parse_model(path: str, tol_pole: float = TOL_POLE) -> ModelFile:
         for key in ("Q", "P"):
             if key not in raw:
                 raise SchemaError(f'{path}: dsf_coeff requires "{key}"')
-        Q = _rmat_from_json(raw["Q"], f"{path}: Q", tol_root)
-        P = _rmat_from_json(raw["P"], f"{path}: P", tol_root)
+        Q = _rmat_from_json(raw["Q"], f"{path}: Q", tols["tol_root"])
+        P = _rmat_from_json(raw["P"], f"{path}: P", tols["tol_root"])
     elif kind == "dsf_pole_residue":
         for key in ("poles", "KQ", "KP"):
             if key not in raw:
@@ -191,7 +195,7 @@ def parse_model(path: str, tol_pole: float = TOL_POLE) -> ModelFile:
     else:
         raise SchemaError(f"{path}: unknown kind {kind!r}")
     try:
-        d = DSF(Q, P, tol_pole)
+        d = DSF(Q, P, tols["tol_pole"])
     except AssumptionError:
         raise
     except (ValueError, DsfminError) as exc:
@@ -199,17 +203,10 @@ def parse_model(path: str, tol_pole: float = TOL_POLE) -> ModelFile:
     return ModelFile(kind, dsf=d, tolerances=tols)
 
 
-def _resolve_tolerances(args, model: ModelFile) -> dict:
-    """The command's tolerance flags, with the model file's values over them."""
-    tols = {key: getattr(args, key) for key in TOL_FLAGS if hasattr(args, key)}
-    tols.update((key, v) for key, v in model.tolerances.items() if key in tols)
-    return tols
-
-
-def model_to_dsf(model: ModelFile, tol_pole: float) -> DSF:
+def model_to_dsf(model: ModelFile) -> DSF:
     if model.dsf is not None:
         return model.dsf
-    return compute_dsf(model.part, tol_pole)
+    return compute_dsf(model.part, model.tolerances["tol_pole"])
 
 
 # -- writers ---------------------------------------------------------------
@@ -335,10 +332,10 @@ def render_adjacency(nodes, edges) -> str:
 
 
 def cmd_extract(args) -> int:
-    model = parse_model(args.model)
+    model = parse_model(args.model, vars(args))
     if model.kind != "state_space":
         raise SchemaError(f"{args.model}: extract expects a state_space model")
-    d = model_to_dsf(model, _resolve_tolerances(args, model)["tol_pole"])
+    d = model_to_dsf(model)
     lim = structure_limits(d)
     _write_json(dsf_to_json(d), args.output)
     print(f"wrote {args.output}")
@@ -352,11 +349,13 @@ def cmd_extract(args) -> int:
 
 
 def cmd_minreal(args) -> int:
-    model = parse_model(args.model, args.tol_pole)
-    tols = _resolve_tolerances(args, model)
-    d = model_to_dsf(model, tols["tol_pole"])
+    model = parse_model(args.model, vars(args))
+    d = model_to_dsf(model)
+    tols = model.tolerances
     result = minreal_pipeline(d, rule=args.edge_rule, enumerate_all=args.enumerate_all,
-                              free_value=args.free_value, shift=args.shift, **tols)
+                              free_value=args.free_value, shift=args.shift,
+                              tol_rank=tols["tol_rank"], tol_orth=tols["tol_orth"],
+                              tol_eval=tols["tol_eval"])
     print(build_report(d, result))
     for k, r in enumerate(result.realizations):
         path = f"{args.out_dir}/realization_{k + 1}.json"
@@ -381,17 +380,16 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = parse_model(args.model, args.tol_pole)
-    tols = _resolve_tolerances(args, model)
-    d = model_to_dsf(model, tols["tol_pole"])
+    model = parse_model(args.model, vars(args))
+    d = model_to_dsf(model)
+    tols = model.tolerances
     rmodel = parse_model(args.realization)
     if rmodel.kind != "state_space":
         raise SchemaError(f"{args.realization}: expected a state_space realization")
     part = rmodel.part
     consistent = consistency_check(part, d, tols["tol_eval"])
-    mo = minimal_order(d, rule=args.edge_rule, tol_pole=tols["tol_pole"],
-                       tol_rank=tols["tol_rank"], tol_orth=tols["tol_orth"],
-                       shift=args.shift)
+    mo = minimal_order(d, rule=args.edge_rule, tol_rank=tols["tol_rank"],
+                       tol_orth=tols["tol_orth"], shift=args.shift)
     print(f"consistent: {'yes' if consistent else 'no'}")
     print(f"realization order: {part.order}; minimal consistent order: {mo.order}")
     if consistent and part.order == mo.order:

@@ -17,7 +17,7 @@ norm) count as zero, and ``from_pole_residue`` builds the row's entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,9 @@ from .sslib import (
 TOL_STRUCT = 1e-9
 
 
-def _check_real_simple(M: RationalMatrix, tol_pole: float, label: str):
+def _real_simple_poles(M: RationalMatrix, tol_pole: float, label: str) -> list:
+    """Real parts of all entry poles of M; each entry's must be real and simple."""
+    roots = []
     for i in range(M.rows):
         for j in range(M.cols):
             r = M.entries[i][j].poles()
@@ -60,15 +62,22 @@ def _check_real_simple(M: RationalMatrix, tol_pole: float, label: str):
                     f"{label}[{i}][{j}] has complex poles; only real poles are supported")
             if len(chain_clusters(r.real, tol_pole)) < r.size:
                 raise RepeatedPole(f"{label}[{i}][{j}] has a repeated pole")
+            roots.extend(r.real)
+    return roots
 
 
 @dataclass
 class DSF:
-    """Dynamical structure function [Q, P] with validated invariants."""
+    """Dynamical structure function [Q, P] with validated invariants.
+
+    ``poles`` holds the distinct poles of [Q P], ascending: the entries'
+    poles merged at ``tol_pole`` by ``chain_clusters``, one mean each.
+    """
 
     Q: RationalMatrix
     P: RationalMatrix
     tol_pole: float = TOL_POLE
+    poles: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Q.rows != self.Q.cols:
@@ -83,8 +92,9 @@ class DSF:
                 for j in range(M.cols):
                     if not M.entries[i][j].is_strictly_proper:
                         raise ValueError(f"{label}[{i}][{j}] is not strictly proper")
-        _check_real_simple(self.Q, self.tol_pole, "Q")
-        _check_real_simple(self.P, self.tol_pole, "P")
+        roots = (_real_simple_poles(self.Q, self.tol_pole, "Q")
+                 + _real_simple_poles(self.P, self.tol_pole, "P"))
+        self.poles = [float(np.mean(c)) for c in chain_clusters(roots, self.tol_pole)]
 
     @property
     def p(self) -> int:
@@ -251,8 +261,8 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     """True iff the realization reproduces the structure function.
 
     Both sides are compared by value at 16 points beyond every pole of
-    d's entries, of A22 and of each row system A_i, the principal
-    submatrix of A on {i} and the hidden states.  Since
+    d, of A22 and of each row system A_i, the principal submatrix of A
+    on {i} and the hidden states.  Since
     det(sI - A_i) = det(sI - A22) (s - W_ii(s)), the eigenvalues of A_i
     hold every pole of row i of the realization's [Q P].  At each point
     [W V] = [A11 B1] + A12 (sI - A22)^(-1) [A21 B2], and row i of
@@ -267,8 +277,7 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     qp = d.qp().entries
     rows = np.array([[i, *range(p, p + h)] for i in range(p)])
     A_rows = part.assemble().A[rows[:, :, None], rows[:, None, :]]
-    poles = [e.poles() for row in qp for e in row]
-    poles += [np.linalg.eigvals(part.A22), np.linalg.eigvals(A_rows).ravel()]
+    poles = [d.poles, np.linalg.eigvals(part.A22), np.linalg.eigvals(A_rows).ravel()]
     s = np.asarray(off_pole_points(np.concatenate(poles), 16))
     want = np.moveaxis(np.array([[e(s) for e in row] for row in qp]), -1, 0)
     rhs = np.broadcast_to(np.hstack([part.A21, part.B2]), (s.size, h, p + part.m))

@@ -23,12 +23,7 @@ from .errors import (
     PoleAtZeroWithoutShift,
     ResidueRankExceedsOne,
 )
-from .ratcore import (
-    TOL_EVAL,
-    TOL_POLE,
-    residue_at,
-    rmat_poles,
-)
+from .ratcore import TOL_EVAL, residue_at
 from .sslib import (
     TOL_RANK,
     PartitionedRealization,
@@ -110,8 +105,7 @@ class RStar:
         return "diag{" + ", ".join(parts) + "}"
 
 
-def extract_modes(d: DSF, tol_pole: float = TOL_POLE, tol_rank: float = TOL_RANK,
-                  shift="auto") -> GilbertData:
+def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> GilbertData:
     """Rank-1 residue data of the structure function.
 
     Works on [(s-a)Q (s-a)P] where a = 0 normally; when [Q P] has a pole
@@ -119,23 +113,24 @@ def extract_modes(d: DSF, tol_pole: float = TOL_POLE, tol_rank: float = TOL_RANK
     poles so that the origin factor does not swallow the pole.  Since
     [Q P] is strictly proper, the residue of the shifted matrix at lam
     is (lam - a) times that of [Q P], and its value at infinity is
-    lim s[Q P] whatever a is.  Each residue must have rank 1; the
+    lim s[Q P] whatever a is.  The poles are ``d.poles`` and every pole
+    decision uses ``d.tol_pole``.  Each residue must have rank 1; the
     repeated-pole generalization where residues gain rank is not
     implemented.
     """
     qp = d.qp()
-    poles_asc = rmat_poles(qp, tol_pole)
-    max_mag = max((abs(x) for x in poles_asc), default=0.0)
+    tol_pole = d.tol_pole
+    max_mag = max((abs(x) for x in d.poles), default=0.0)
     if shift == "auto":
-        a = 1.0 + max_mag if any(abs(x) < tol_pole for x in poles_asc) else 0.0
+        a = 1.0 + max_mag if any(abs(x) < tol_pole for x in d.poles) else 0.0
     else:
         a = float(shift)
-        if a == 0.0 and any(abs(x) < tol_pole for x in poles_asc):
+        if a == 0.0 and any(abs(x) < tol_pole for x in d.poles):
             raise PoleAtZeroWithoutShift(
                 "[Q P] has a pole at the origin; a nonzero shift is required")
-        if a != 0.0 and any(abs(x - a) <= tol_pole for x in poles_asc):
+        if a != 0.0 and any(abs(x - a) <= tol_pole for x in d.poles):
             raise ValueError(f"shift {a} coincides with a pole of [Q P]")
-    poles = sorted(poles_asc, reverse=True)
+    poles = d.poles[::-1]
     E_list, F_list = [], []
     for lam in poles:
         K = (lam - a) * residue_at(qp, lam, tol_pole)
@@ -226,11 +221,10 @@ class MinimalOrder:
     hidden: int
 
 
-def minimal_order(d: DSF, rule: str = "support-disjoint",
-                  tol_pole: float = TOL_POLE, tol_rank: float = TOL_RANK,
+def minimal_order(d: DSF, *, rule: str = "support-disjoint", tol_rank: float = TOL_RANK,
                   tol_orth: float = TOL_ORTH, shift="auto") -> MinimalOrder:
     """Order p + l - phi of the smallest consistent realization."""
-    g = extract_modes(d, tol_pole, tol_rank, shift)
+    g = extract_modes(d, tol_rank=tol_rank, shift=shift)
     cg = compatibility_graph(g, rule, tol_orth)
     phi = maximum_cliques(cg).phi
     return MinimalOrder(g.l, phi, d.p + g.l - phi, g.l - phi)
@@ -257,10 +251,11 @@ def construct_rstar(g: GilbertData, clique, free_value: float = FREE_VALUE,
     return RStar(tuple(entries), free_value)
 
 
-def cancellation_check(g: GilbertData, r, tol: float = TOL_CANCEL) -> list:
+def cancellation_check(g: GilbertData, r) -> list:
     """Per-pole flags: True where N(lam_i) E_i vanishes (pole removed).
 
-    N(lam_i) acts entrywise as (lam_i - r_j) / (lam_i - a).
+    N(lam_i) acts entrywise as (lam_i - r_j) / (lam_i - a); a flag is set
+    when |N(lam_i) E_i| is at most TOL_CANCEL times max |E_i|.
     """
     rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
     flags = []
@@ -269,7 +264,7 @@ def cancellation_check(g: GilbertData, r, tol: float = TOL_CANCEL) -> list:
             raise PoleAtZeroWithoutShift(
                 f"cannot evaluate the cancellation factor at pole {lam} with shift {g.shift}")
         nv = (lam - rvec) / (lam - g.shift)
-        flags.append(bool(np.max(np.abs(nv * E)) <= tol * np.max(np.abs(E))))
+        flags.append(bool(np.max(np.abs(nv * E)) <= TOL_CANCEL * np.max(np.abs(E))))
     return flags
 
 
@@ -293,18 +288,17 @@ def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
     return PartitionedRealization(A11, A12, A21, A22, g.D1[:, p:].copy(), B2)
 
 
-def realize(d: DSF, r: RStar, modes: GilbertData = None,
-            tol_pole: float = TOL_POLE, tol_rank: float = TOL_RANK,
-            tol_cancel: float = TOL_CANCEL, shift="auto") -> PartitionedRealization:
+def realize(d: DSF, r: RStar, modes: GilbertData = None, *,
+            tol_rank: float = TOL_RANK, shift="auto") -> PartitionedRealization:
     """Consistent realization of d for a given diagonal matrix R.
 
     The measured block is fixed by the high-frequency limits plus R on
     the diagonal; the hidden block keeps one state per surviving pole.
     Pass precomputed modes to avoid re-extracting them.
     """
-    g = modes if modes is not None else extract_modes(d, tol_pole, tol_rank, shift)
+    g = modes if modes is not None else extract_modes(d, tol_rank=tol_rank, shift=shift)
     rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
-    flags = cancellation_check(g, rvec, tol_cancel)
+    flags = cancellation_check(g, rvec)
     return _assemble(g, rvec, [i for i, f in enumerate(flags) if not f])
 
 
@@ -369,18 +363,17 @@ def _zero_point_tests(g: GilbertData, flags, full: PartitionedRealization, tol_r
     return checks
 
 
-def minreal_pipeline(d: DSF, rule: str = "support-disjoint",
+def minreal_pipeline(d: DSF, *, rule: str = "support-disjoint",
                      enumerate_all: bool = False, free_value: float = FREE_VALUE,
-                     shift="auto", tol_pole: float = TOL_POLE,
-                     tol_rank: float = TOL_RANK, tol_orth: float = TOL_ORTH,
-                     tol_eval: float = TOL_EVAL) -> PipelineResult:
+                     shift="auto", tol_rank: float = TOL_RANK,
+                     tol_orth: float = TOL_ORTH, tol_eval: float = TOL_EVAL) -> PipelineResult:
     """Full pipeline: modes, cliques, R* families, realizations, checks.
 
     One realization is produced per maximum clique (or just the first,
     lexicographically, when enumerate_all is off), each verified for
     consistency against the input structure function.
     """
-    g = extract_modes(d, tol_pole, tol_rank, shift)
+    g = extract_modes(d, tol_rank=tol_rank, shift=shift)
     cg = compatibility_graph(g, rule, tol_orth)
     cl = maximum_cliques(cg, enumerate_all)
     order = d.p + g.l - cl.phi

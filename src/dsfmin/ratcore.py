@@ -320,14 +320,7 @@ class RationalFunction:
             return other
         if other.is_zero:
             return self
-        d1, d2 = self.den.coeffs, other.den.coeffs
-        if d1.size == d2.size and np.allclose(d1, d2, rtol=1e-11, atol=0.0):
-            # common denominator (both monic): avoid duplicating factors
-            return RationalFunction(self.num + other.num, self.den)
-        if self.den.degree() > 0 and other.den.degree() > 0:
-            return _add_over_lcm(self, other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return _add_over_lcm(self, other)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -339,7 +332,7 @@ class RationalFunction:
         return _as_ratfun(other).__sub__(self)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _raw_ratfun(-self.num, self.den)
 
     def __mul__(self, other):
         other = _as_ratfun(other)
@@ -424,16 +417,12 @@ def rat_reduce(num, den, tol_root: float = TOL_ROOT) -> RationalFunction:
 
 def ratfun_equal(f: RationalFunction, g: RationalFunction,
                  tol_eval: float = TOL_EVAL, sample_points=None) -> bool:
-    """Equality of two rational functions.
+    """Equality of two rational functions by value at sample points.
 
-    Cross-multiplied numerators are compared coefficient-wise first; on
-    failure, agreement is checked at deterministic off-pole sample points.
+    The default points are 16 deterministic points beyond every pole of
+    either function; f and g agree at s when
+    |f(s) - g(s)| <= tol_eval * max(1, |f(s)|, |g(s)|).
     """
-    a = f.num * g.den
-    b = g.num * f.den
-    scale = max(np.max(np.abs(a.coeffs)), np.max(np.abs(b.coeffs)), 1.0)
-    if np.max(np.abs((a - b).coeffs)) <= tol_eval * scale:
-        return True
     if sample_points is None:
         sample_points = off_pole_points(np.concatenate([f.poles(), g.poles()]), 16)
     for s in sample_points:
@@ -476,10 +465,6 @@ class RationalMatrix:
         M = np.atleast_2d(np.asarray(M, dtype=float))
         return cls([[RationalFunction([M[i, j]]) for j in range(M.shape[1])]
                     for i in range(M.shape[0])])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls.from_real(np.zeros((rows, cols)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":

@@ -1,10 +1,11 @@
 """State-space models, transfer functions, and Gilbert realizations.
 
 ``transfer_from_blocks`` builds each entry c (sI - A)^(-1) b + d from
-characteristic polynomials, det(sI - A + b c) - det(sI - A) over
-det(sI - A), each taken from eigenvalues.  ``kalman_reduce`` finds the
-minimal part of a state-space triple numerically, by an orthogonal
-staircase whose rank decisions are ``_rank`` with ``TOL_RANK``.
+characteristic polynomials of the minimal part of (A, b, c),
+det(sI - A + b c) - det(sI - A) over det(sI - A), each taken from
+eigenvalues.  ``kalman_reduce`` finds the minimal part of a state-space
+triple numerically, by an orthogonal staircase whose rank decisions are
+``_rank`` with ``TOL_RANK``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 from .errors import RankDeficientC, ShapeMismatch
 from .ratcore import (
     TOL_POLE,
-    RationalFunction,
+    Polynomial,
     RationalMatrix,
+    _raw_ratfun,
     off_pole_points,
     rmat_eval,
     to_pole_residue,
@@ -136,16 +138,17 @@ def _char_poly(M: np.ndarray):
     scale of each coefficient's rounding error.
     """
     lam = np.linalg.eigvals(M)
-    return np.poly(lam).real[::-1], np.poly(-np.abs(lam))[::-1]
+    return np.atleast_1d(np.poly(lam).real)[::-1], np.atleast_1d(np.poly(-np.abs(lam)))[::-1]
 
 
 def transfer_from_blocks(A, B, C, D) -> RationalMatrix:
     """C (sI - A)^(-1) B + D as a reduced rational matrix.
 
-    By the matrix determinant lemma, c (sI - A)^(-1) b equals
-    [det(sI - A + b c) - det(sI - A)] / det(sI - A), so entry (i, j) has
-    numerator char(A - b_j c_i) - char(A) + D_ij char(A) over char(A),
-    each characteristic polynomial built from eigenvalues.
+    Entry (i, j) comes from the minimal part (A_ij, b, c) of (A, b_j, c_i)
+    that ``kalman_reduce`` leaves, so its numerator and denominator share
+    no root.  By the matrix determinant lemma the numerator is
+    char(A_ij - b c) - char(A_ij) + D_ij char(A_ij) over char(A_ij), each
+    characteristic polynomial built from eigenvalues.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -154,16 +157,18 @@ def transfer_from_blocks(A, B, C, D) -> RationalMatrix:
         return RationalMatrix.from_real(D)
     B = np.asarray(B, dtype=float).reshape(n, -1)
     C = np.asarray(C, dtype=float).reshape(-1, n)
-    char, char_scale = _char_poly(A)
     out = []
     for i in range(D.shape[0]):
         row = []
         for j in range(D.shape[1]):
-            pert, pert_scale = _char_poly(A - np.outer(B[:, j], C[i]))
+            Aij, b, c = kalman_reduce(A, B[:, [j]], C[[i]])
+            char, char_scale = _char_poly(Aij)
+            pert, pert_scale = _char_poly(Aij - b @ c)
             num = pert - char
             # a coefficient far below its summands' scale is cancellation noise
             num[np.abs(num) <= 1e-12 * np.maximum(char_scale, pert_scale)] = 0.0
-            row.append(RationalFunction(num + D[i, j] * char, char))
+            num = Polynomial(num + D[i, j] * char)
+            row.append(_raw_ratfun(num, Polynomial([1.0]) if num.is_zero else Polynomial(char)))
         out.append(row)
     return RationalMatrix(out)
 
@@ -293,34 +298,22 @@ def gilbert_realization(M: RationalMatrix, tol_pole: float = TOL_POLE,
                         tol_rank: float = TOL_RANK) -> StateSpace:
     """Minimal realization of a proper matrix with real simple poles.
 
-    A is block diagonal with each pole repeated rank(K_i) times; B and C
-    come from the rank factorizations of the residue matrices; D is the
-    value at infinity.  A constant matrix has no dynamics; since a
+    A is diagonal with each pole repeated rank(K_i) times; B and C stack
+    the rank factorizations K_i = E_i F_i of the residue matrices; D is
+    the value at infinity.  A constant matrix has no dynamics; since a
     zero-state system cannot be represented, it gets one decoupled state.
     """
     prf = to_pole_residue(M, tol_pole)
     p, m = prf.shape
-    A_blocks, B_rows, C_cols = [], [], []
-    for lam, K in zip(prf.poles, prf.residues):
-        E, F, r = rank_factorization(K, tol_rank)
-        if r == 0:
-            continue
-        A_blocks.append(lam * np.eye(r))
-        B_rows.append(F)
-        C_cols.append(E)
-    if not A_blocks:
+    factors = [rank_factorization(K, tol_rank) for K in prf.residues]
+    ranks = [r for _, _, r in factors]
+    if not sum(ranks):
         # no dynamics: represent the constant gain with one decoupled state
         return StateSpace(np.array([[-1.0]]), np.zeros((1, m)),
                           np.zeros((p, 1)), prf.constant)
-    order = sum(b.shape[0] for b in A_blocks)
-    A = np.zeros((order, order))
-    at = 0
-    for b in A_blocks:
-        A[at:at + b.shape[0], at:at + b.shape[0]] = b
-        at += b.shape[0]
-    B = np.vstack(B_rows)
-    C = np.hstack(C_cols)
-    return StateSpace(A, B, C, prf.constant)
+    return StateSpace(np.diag(np.repeat(prf.poles, ranks)),
+                      np.vstack([F for _, F, _ in factors]),
+                      np.hstack([E for E, _, _ in factors]), prf.constant)
 
 
 def mcmillan_degree(M: RationalMatrix, tol_pole: float = TOL_POLE,

@@ -79,6 +79,17 @@ class TestParseModel:
         with pytest.raises(SchemaError):
             parse_model(str(path))
 
+    def test_tolerances_resolved_defaults_then_flags_then_file(self, tmp_path):
+        path = tmp_path / "ex2_tols.json"
+        path.write_text(json.dumps(dict(EX2_JSON, tolerances={"tol_pole": 1e-7,
+                                                               "tol_eval": 1e-3})))
+        flags = {"tol_pole": 1e-8, "tol_rank": 1e-9, "model": str(path)}
+        model = parse_model(str(path), flags)
+        assert model.tolerances == {"tol_pole": 1e-7, "tol_rank": 1e-9, "tol_orth": 1e-8,
+                                    "tol_eval": 1e-3, "tol_root": 1e-8}
+        assert model.dsf.tol_pole == 1e-7
+        assert parse_model(write_ex2(tmp_path)).tolerances["tol_pole"] == 1e-6
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"kind": "mystery"}))

@@ -23,6 +23,7 @@ from dsfmin import (
     mcmillan_degree,
     minreal_pipeline,
     rmat_equal,
+    rmat_poles,
     structure_limits,
     transfer_function,
 )
@@ -363,6 +364,17 @@ class TestRowRealization:
         assert d.Q.entries[0][1].is_zero and d.P.entries[1][0].is_zero
         assert rmat_equal(d.Q, rmat([[ZERO, ZERO], [([0.5], [2, 1]), ZERO]]))
         assert rmat_equal(d.P, rmat([[([1], [1, 1])], [ZERO]]))
+
+    def test_poles_are_those_of_the_block_row(self):
+        rng = np.random.default_rng(23)
+        dsfs = [random_dsf(rng, 4, 2, l) for l in (2, 4, 8, 10, 12) for _ in range(4)]
+        relay_blocks = _relay_blocks()
+        for size in ((3, 2), (4, 3), (5, 4), (5, 8)):
+            b = relay_blocks(rng, *size, 2)
+            dsfs.append(compute_dsf(
+                PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)))
+        for d in dsfs:
+            assert d.poles == rmat_poles(d.qp(), d.tol_pole)
 
     def test_relay_five_plus_eight(self):
         rng = np.random.default_rng(7)

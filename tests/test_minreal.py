@@ -5,6 +5,7 @@ import pytest
 
 from dsfmin import (
     DSF,
+    PoleResidueForm,
     RStar,
     boolean_structure,
     cancellation_check,
@@ -14,6 +15,7 @@ from dsfmin import (
     construct_rstar,
     dsf_to_transfer,
     extract_modes,
+    from_pole_residue,
     maximum_cliques,
     minimal_order,
     minreal_pipeline,
@@ -287,6 +289,21 @@ class TestPipeline:
         res = minreal_pipeline(ex2_dsf)
         assert len(res.realizations) == 1
         assert res.realizations[0].rstar.entries == EX2_FAMILIES[0]
+
+    def test_pole_tolerance_is_the_structure_functions(self):
+        # P[0][0] holds -1 and -1 - 5e-7, apart at tol_pole 1e-8 but not at
+        # the default 1e-6; -3 has residue column [1, 1], so no two poles
+        # have disjoint supports and phi = 1
+        poles = [-1.0, -1.0 - 5e-7, -3.0]
+        KP = [[[2e6], [0.0]], [[-2e6], [0.0]], [[1.0], [1.0]]]
+        P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((2, 1))))
+        d = DSF(rmat([[ZERO, ZERO], [ZERO, ZERO]]), P, tol_pole=1e-8)
+        mo = minimal_order(d)
+        assert (mo.l, mo.phi, mo.order) == (3, 1, 4)
+        res = minreal_pipeline(d)
+        assert (res.l, res.phi, res.order) == (3, 1, 4)
+        assert res.realizations[0].realization.order == 4
+        assert res.realizations[0].consistent
 
     def test_measured_layer_stable_across_realizations(self, ex2_dsf):
         res = minreal_pipeline(ex2_dsf, enumerate_all=True)

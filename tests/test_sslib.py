@@ -72,6 +72,23 @@ class TestTransferFunction:
                 err = np.max(np.abs(rmat_eval(G, s) - want)) / np.max(np.abs(want))
                 assert err <= 1e-10
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_modes_an_entry_cannot_see(self, n):
+        # as above, with half of B and C zeroed: an entry sees only the
+        # modes its own b_j reaches and its own c_i observes
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3) - 2.0 * np.eye(n)
+            B = rng.standard_normal((n, 2))
+            C = rng.standard_normal((2, n))
+            B *= rng.random(B.shape) < 0.5
+            C *= rng.random(C.shape) < 0.5
+            G = transfer_from_blocks(A, B, C, np.zeros((2, 2)))
+            for s in (1j, 2.0, 0.5 + 3j):
+                want = C @ np.linalg.solve(s * np.eye(n) - A, B)
+                err = np.max(np.abs(rmat_eval(G, s) - want)) / np.max(np.abs(want))
+                assert err <= 1e-10
+
 
 class TestOutputNormalForm:
     def test_identity_output_reads_off_blocks(self):
