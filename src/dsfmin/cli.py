@@ -26,6 +26,7 @@ import numpy as np
 
 from .dsf import (
     DSF,
+    TOL_STRUCT,
     boolean_structure,
     compute_dsf,
     consistency_check,
@@ -37,8 +38,10 @@ from .errors import (
     ParseError,
     RankDeficientC,
     SchemaError,
+    ShapeMismatch,
+    ZeroDenominator,
 )
-from .minreal import EDGE_RULES, FREE_VALUE, TOL_ORTH, minimal_order, minreal_pipeline
+from .minreal import TOL_ORTH, minimal_order, minreal_pipeline
 from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
@@ -91,8 +94,8 @@ def _ratfun_from_json(obj, what, tol_root):
     try:
         return RationalFunction(list(map(float, obj["num"])),
                                 list(map(float, obj["den"])), tol_root)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: bad coefficient array") from exc
+    except (TypeError, ValueError, ZeroDenominator) as exc:
+        raise SchemaError(f"{what}: bad coefficient array ({exc})") from exc
 
 
 def _rmat_from_json(obj, what, tol_root):
@@ -141,25 +144,26 @@ def parse_model(path: str, flags=None) -> ModelFile:
         A = _as_grid(raw["A"], f"{path}: A")
         B = _as_grid(raw["B"], f"{path}: B")
         n = A.shape[0]
+        if "p" in raw and (isinstance(raw["p"], bool) or not isinstance(raw["p"], int)):
+            raise SchemaError(f'{path}: "p" must be an integer')
         if "C" in raw:
             C = _as_grid(raw["C"], f"{path}: C")
-            if "p" in raw and int(raw["p"]) != C.shape[0]:
+            p = C.shape[0]
+            if raw.get("p", p) != p:
                 raise SchemaError(f'{path}: "p" disagrees with the rows of C')
         elif "p" in raw:
-            p = int(raw["p"])
-            if not 1 <= p <= n:
-                raise SchemaError(f"{path}: p must be in 1..{n}")
-            C = np.hstack([np.eye(p), np.zeros((p, n - p))])
+            p = raw["p"]
         else:
             raise SchemaError(f'{path}: state_space requires "C" or "p"')
+        if not 1 <= p <= n:
+            raise SchemaError(f"{path}: p (the rows of C) must be in 1..{n}")
+        if "C" not in raw:
+            C = np.eye(p, n)
         try:
             ss = StateSpace(A, B, C)
         except DsfminError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-        p = C.shape[0]
-        identity_output = (C.shape == (p, n)
-                           and np.array_equal(C, np.hstack([np.eye(p), np.zeros((p, n - p))])))
-        if identity_output:
+        if np.array_equal(C, np.eye(p, n)):
             part = PartitionedRealization(A[:p, :p], A[:p, p:], A[p:, :p],
                                           A[p:, p:], B[:p], B[p:])
         else:
@@ -276,8 +280,8 @@ def build_report(d: DSF, result) -> str:
 # -- graph export -----------------------------------------------------------
 
 
-def _dsf_graph(d: DSF, tol_struct: float = 1e-9):
-    bs = boolean_structure(d, tol_struct)
+def _dsf_graph(d: DSF):
+    bs = boolean_structure(d)
     nodes = [(f"y{i + 1}", "measured") for i in range(d.p)] + \
             [(f"u{j + 1}", "input") for j in range(d.m)]
     edges = []
@@ -292,14 +296,14 @@ def _dsf_graph(d: DSF, tol_struct: float = 1e-9):
     return nodes, edges
 
 
-def _realization_graph(part: PartitionedRealization, tol_struct: float = 1e-9):
+def _realization_graph(part: PartitionedRealization):
     ss = part.assemble()
     p, h, m = part.p, part.h, part.m
     names = [f"y{i + 1}" for i in range(p)] + [f"z{i + 1}" for i in range(h)]
     nodes = [(n, "measured") for n in names[:p]] + \
             [(n, "hidden") for n in names[p:]] + \
             [(f"u{j + 1}", "input") for j in range(m)]
-    thr = tol_struct * max(float(np.max(np.abs(ss.A))), float(np.max(np.abs(ss.B))), 1.0)
+    thr = TOL_STRUCT * max(float(np.max(np.abs(ss.A))), float(np.max(np.abs(ss.B))), 1.0)
     edges = []
     for i in range(p + h):
         for j in range(p + h):
@@ -352,8 +356,7 @@ def cmd_minreal(args) -> int:
     model = parse_model(args.model, vars(args))
     d = model_to_dsf(model)
     tols = model.tolerances
-    result = minreal_pipeline(d, rule=args.edge_rule, enumerate_all=args.enumerate_all,
-                              free_value=args.free_value, shift=args.shift,
+    result = minreal_pipeline(d, enumerate_all=args.enumerate_all,
                               tol_rank=tols["tol_rank"], tol_orth=tols["tol_orth"],
                               tol_eval=tols["tol_eval"])
     print(build_report(d, result))
@@ -388,8 +391,7 @@ def cmd_verify(args) -> int:
         raise SchemaError(f"{args.realization}: expected a state_space realization")
     part = rmodel.part
     consistent = consistency_check(part, d, tols["tol_eval"])
-    mo = minimal_order(d, rule=args.edge_rule, tol_rank=tols["tol_rank"],
-                       tol_orth=tols["tol_orth"], shift=args.shift)
+    mo = minimal_order(d, tol_rank=tols["tol_rank"], tol_orth=tols["tol_orth"])
     print(f"consistent: {'yes' if consistent else 'no'}")
     print(f"realization order: {part.order}; minimal consistent order: {mo.order}")
     if consistent and part.order == mo.order:
@@ -399,16 +401,6 @@ def cmd_verify(args) -> int:
     else:
         print("verdict: inconsistent")
     return 0 if consistent else 1
-
-
-def _parse_shift(text):
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or 'auto', got {text!r}")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -423,10 +415,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-rank", dest="tol_rank", type=float, default=TOL_RANK)
         p.add_argument("--tol-orth", dest="tol_orth", type=float, default=TOL_ORTH)
         p.add_argument("--tol-eval", dest="tol_eval", type=float, default=TOL_EVAL)
-        p.add_argument("--edge-rule", dest="edge_rule", choices=EDGE_RULES,
-                       default="support-disjoint")
-        p.add_argument("--shift", type=_parse_shift, default="auto",
-                       help="frequency shift: a real number or 'auto'")
 
     p_extract = sub.add_parser("extract", help="structure function of a state-space model")
     p_extract.add_argument("model")
@@ -440,8 +428,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_minreal.add_argument("--enumerate-all", dest="enumerate_all",
                            action="store_true",
                            help="one realization per maximum clique")
-    p_minreal.add_argument("--free-value", dest="free_value", type=float,
-                           default=FREE_VALUE)
     search(p_minreal)
     p_minreal.set_defaults(func=cmd_minreal)
 
@@ -467,10 +453,7 @@ def main(argv=None) -> int:
     except (AssumptionError, RankDeficientC) as exc:
         print(f"assumption violated ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParseError, ShapeMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

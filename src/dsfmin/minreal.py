@@ -6,9 +6,10 @@ survive multiplication by the diagonal factor N(s) = (sI - R)(s - a)^(-1)
 for a constant diagonal R (a = 0 unless a pole sits at the origin).  A
 pole lam_i with rank-1 residue E_i F_i is removed exactly when
 N(lam_i) E_i = 0, which forces R[j, j] = lam_i on the support of E_i.
-The maximal number of simultaneously removable poles is therefore the
-size phi of a maximum clique in the compatibility graph of the residue
-vectors, and the minimal order is p + l - phi.
+So two poles can be removed together exactly when the supports of their
+residue vectors are disjoint; phi, the most poles removable at once, is
+the size of a maximum clique in that graph, and the minimal order is
+p + l - phi.
 """
 
 from __future__ import annotations
@@ -90,14 +91,13 @@ class RStar:
     """Constant diagonal cancellation matrix with free positions.
 
     entries[j] is either a float (forced value) or None (free); free
-    positions materialize to free_value.
+    positions materialize to FREE_VALUE.
     """
 
     entries: tuple
-    free_value: float = FREE_VALUE
 
     def materialize(self) -> np.ndarray:
-        return np.array([self.free_value if e is None else float(e)
+        return np.array([FREE_VALUE if e is None else float(e)
                          for e in self.entries])
 
     def pattern(self) -> str:
@@ -160,10 +160,11 @@ def compatibility_graph(g: GilbertData, rule: str = "support-disjoint",
                         tol_orth: float = TOL_ORTH) -> CompatGraph:
     """Graph whose edges join residue vectors that can cancel together.
 
-    rule="orthogonal" joins i, j when E_i^T E_j = 0 (within tolerance);
-    rule="support-disjoint" requires the nonzero patterns of E_i and E_j
-    not to overlap, which implies orthogonality and guarantees a
-    conflict-free diagonal assignment.
+    rule="support-disjoint", the rule of the search, joins i, j when the
+    nonzero patterns of E_i and E_j do not overlap: R is diagonal, so
+    exactly then can one R remove both poles.  rule="orthogonal" (E_i^T
+    E_j = 0 within tolerance) also joins overlapping supports, which
+    construct_rstar rejects; it is kept for comparison only.
     """
     if rule not in EDGE_RULES:
         raise ValueError(f"unknown edge rule {rule!r}; expected one of {EDGE_RULES}")
@@ -221,23 +222,23 @@ class MinimalOrder:
     hidden: int
 
 
-def minimal_order(d: DSF, *, rule: str = "support-disjoint", tol_rank: float = TOL_RANK,
-                  tol_orth: float = TOL_ORTH, shift="auto") -> MinimalOrder:
+def minimal_order(d: DSF, *, tol_rank: float = TOL_RANK,
+                  tol_orth: float = TOL_ORTH) -> MinimalOrder:
     """Order p + l - phi of the smallest consistent realization."""
-    g = extract_modes(d, tol_rank=tol_rank, shift=shift)
-    cg = compatibility_graph(g, rule, tol_orth)
+    g = extract_modes(d, tol_rank=tol_rank)
+    cg = compatibility_graph(g, tol_orth=tol_orth)
     phi = maximum_cliques(cg).phi
     return MinimalOrder(g.l, phi, d.p + g.l - phi, g.l - phi)
 
 
-def construct_rstar(g: GilbertData, clique, free_value: float = FREE_VALUE,
-                    tol_orth: float = TOL_ORTH) -> RStar:
+def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar:
     """Diagonal cancellation matrix forced by a clique of residue vectors.
 
     Every nonzero component of E_i pins the matching diagonal entry to
     lam_i; positions untouched by the clique stay free.  Overlapping
-    supports inside the clique (possible only under the orthogonal edge
-    rule) demand two values at once and raise ConflictingAssignment.
+    supports inside the clique (possible only for a clique of the
+    orthogonal graph) demand two values at once and raise
+    ConflictingAssignment.
     """
     entries = [None] * g.p
     for i in clique:
@@ -246,9 +247,9 @@ def construct_rstar(g: GilbertData, clique, free_value: float = FREE_VALUE,
             if entries[j] is not None and entries[j] != lam:
                 raise ConflictingAssignment(
                     f"diagonal position {j} is claimed by poles {entries[j]} and "
-                    f"{lam}; use the support-disjoint edge rule to avoid this")
+                    f"{lam}; their residue supports overlap")
             entries[j] = lam
-    return RStar(tuple(entries), free_value)
+    return RStar(tuple(entries))
 
 
 def cancellation_check(g: GilbertData, r) -> list:
@@ -289,14 +290,14 @@ def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
 
 
 def realize(d: DSF, r: RStar, modes: GilbertData = None, *,
-            tol_rank: float = TOL_RANK, shift="auto") -> PartitionedRealization:
+            tol_rank: float = TOL_RANK) -> PartitionedRealization:
     """Consistent realization of d for a given diagonal matrix R.
 
     The measured block is fixed by the high-frequency limits plus R on
     the diagonal; the hidden block keeps one state per surviving pole.
     Pass precomputed modes to avoid re-extracting them.
     """
-    g = modes if modes is not None else extract_modes(d, tol_rank=tol_rank, shift=shift)
+    g = modes if modes is not None else extract_modes(d, tol_rank=tol_rank)
     rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
     flags = cancellation_check(g, rvec)
     return _assemble(g, rvec, [i for i, f in enumerate(flags) if not f])
@@ -363,9 +364,7 @@ def _zero_point_tests(g: GilbertData, flags, full: PartitionedRealization, tol_r
     return checks
 
 
-def minreal_pipeline(d: DSF, *, rule: str = "support-disjoint",
-                     enumerate_all: bool = False, free_value: float = FREE_VALUE,
-                     shift="auto", tol_rank: float = TOL_RANK,
+def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = TOL_RANK,
                      tol_orth: float = TOL_ORTH, tol_eval: float = TOL_EVAL) -> PipelineResult:
     """Full pipeline: modes, cliques, R* families, realizations, checks.
 
@@ -373,13 +372,13 @@ def minreal_pipeline(d: DSF, *, rule: str = "support-disjoint",
     lexicographically, when enumerate_all is off), each verified for
     consistency against the input structure function.
     """
-    g = extract_modes(d, tol_rank=tol_rank, shift=shift)
-    cg = compatibility_graph(g, rule, tol_orth)
+    g = extract_modes(d, tol_rank=tol_rank)
+    cg = compatibility_graph(g, tol_orth=tol_orth)
     cl = maximum_cliques(cg, enumerate_all)
     order = d.p + g.l - cl.phi
     reports = []
     for clique in cl.cliques:
-        rstar = construct_rstar(g, clique, free_value, tol_orth)
+        rstar = construct_rstar(g, clique, tol_orth)
         rvec = rstar.materialize()
         flags = cancellation_check(g, rvec)
         keep = [i for i, f in enumerate(flags) if not f]

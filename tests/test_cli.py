@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dsfmin import kalman_reduce, rmat_equal
-from dsfmin.cli import dsf_to_json, main, parse_model, part_to_json
+from dsfmin.cli import dsf_to_json, main, model_to_dsf, parse_model, part_to_json
 from dsfmin.errors import SchemaError
 
 from conftest import ZERO, ex1_matrices, rmat
@@ -23,6 +23,20 @@ EX2_JSON = {
           [{"num": [1], "den": [4, 1]}],
           [{"num": [1], "den": [4, 1]}]],
 }
+
+
+# residue vectors (1, 1, 0) at -1 and (1, -1, 0) at -2: orthogonal, but
+# their supports overlap, so no diagonal R removes both poles
+CONFLICT_JSON = {
+    "kind": "dsf_pole_residue", "poles": [-1.0, -2.0],
+    "KQ": [[[0, 0, 1], [0, 0, 1], [0, 0, 0]], [[0, 0, 1], [0, 0, -1], [0, 0, 0]]],
+    "KP": [[[1], [1], [0]], [[1], [-1], [0]]],
+}
+
+
+def ex1_state_space(**fields):
+    A, B, _ = ex1_matrices()
+    return {"kind": "state_space", "A": A.tolist(), "B": B.tolist(), **fields}
 
 
 def write_ex2(tmp_path):
@@ -89,6 +103,17 @@ class TestParseModel:
                                     "tol_eval": 1e-3, "tol_root": 1e-8}
         assert model.dsf.tol_pole == 1e-7
         assert parse_model(write_ex2(tmp_path)).tolerances["tol_pole"] == 1e-6
+
+    def test_state_space_permuted_output(self, tmp_path):
+        # C = I_5[[1, 0, 2]] measures states 1, 0, 2: the p = 3 model with
+        # measured states 0 and 1 swapped
+        path = tmp_path / "permuted.json"
+        path.write_text(json.dumps(ex1_state_space(C=np.eye(5)[[1, 0, 2]].tolist())))
+        d = model_to_dsf(parse_model(str(path)))
+        ref = model_to_dsf(parse_model(write_ex1(tmp_path)))
+        perm = [1, 0, 2]
+        assert rmat_equal(d.Q, ref.Q.submatrix(perm, perm))
+        assert rmat_equal(d.P, ref.P.submatrix(perm, range(ref.m)))
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.json"
@@ -207,6 +232,56 @@ class TestMinrealCommand:
             "KQ": [[[0.0, 0.0], [0.0, 0.0]]],
             "KP": [[[1.0], [0.0]], [[0.0], [1.0]]]}))
         assert main(["minreal", str(path)]) == 3
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command, data", [
+        ("minreal", ex1_state_space(p="one")),
+        ("minreal", ex1_state_space(p=1.7)),
+        ("minreal", ex1_state_space(C=np.eye(6, 5).tolist())),
+        ("minreal", {"kind": "dsf_coeff", "Q": [[{"num": [0], "den": [1]}]],
+                     "P": [[{"num": [1], "den": [0]}]]}),
+        # a realization with m = 1 against the ex1 model, which has m = 2
+        ("verify", {"kind": "state_space", "A": (-np.eye(3)).tolist(),
+                    "B": np.ones((3, 1)).tolist(), "p": 3}),
+    ], ids=["p_string", "p_fraction", "C_more_rows_than_states", "zero_denominator",
+            "verify_shape_mismatch"])
+    def test_exits_3_with_one_error_line(self, tmp_path, capsys, command, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        if command == "verify":
+            argv = ["verify", write_ex1(tmp_path), str(path)]
+        else:
+            argv = ["minreal", str(path), "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSearchOptions:
+    """One compatibility rule, an automatic shift and a fixed free value."""
+
+    def test_overlapping_orthogonal_residues(self, tmp_path, capsys):
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(CONFLICT_JSON))
+        assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert "minimal consistent order = 4 (hidden states: 1)" in capsys.readouterr().out
+        assert main(["verify", str(path), str(tmp_path / "realization_1.json")]) == 0
+        assert "verdict: consistent and minimal" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, option", [
+        ("minreal", ["--edge-rule", "orthogonal"]),
+        ("minreal", ["--shift", "5"]),
+        ("minreal", ["--free-value", "3"]),
+        ("verify", ["--edge-rule", "orthogonal"]),
+        ("verify", ["--shift", "auto"]),
+    ], ids=["minreal-edge-rule", "minreal-shift", "minreal-free-value",
+            "verify-edge-rule", "verify-shift"])
+    def test_removed_options_rejected(self, capsys, command, option):
+        files = ["model.json"] if command == "minreal" else ["model.json", "realization.json"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, *option])
+        assert exc.value.code == 2
 
 
 class TestExtractCommand:
