@@ -78,6 +78,12 @@ class ModelFile:
     tolerances: dict = None              # every key of TOL_FLAGS, resolved
 
 
+def _check_finite(x, what):
+    """SchemaError if any of the numbers ``x`` is NaN or infinite (JSON reads both)."""
+    if not np.isfinite(x).all():
+        raise SchemaError(f"{what}: numbers must be finite")
+
+
 def _as_grid(obj, what):
     try:
         M = np.asarray(obj, dtype=float)
@@ -85,6 +91,7 @@ def _as_grid(obj, what):
         raise SchemaError(f"{what}: expected a rectangular numeric grid") from exc
     if M.ndim != 2:
         raise SchemaError(f"{what}: expected a 2-d grid, got {M.ndim}-d")
+    _check_finite(M, what)
     return M
 
 
@@ -92,8 +99,9 @@ def _ratfun_from_json(obj, what, tol_root):
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise SchemaError(f'{what}: expected an object with "num" and "den" arrays')
     try:
-        return RationalFunction(list(map(float, obj["num"])),
-                                list(map(float, obj["den"])), tol_root)
+        num, den = list(map(float, obj["num"])), list(map(float, obj["den"]))
+        _check_finite(num + den, what)
+        return RationalFunction(num, den, tol_root)
     except (TypeError, ValueError, ZeroDenominator) as exc:
         raise SchemaError(f"{what}: bad coefficient array ({exc})") from exc
 
@@ -114,8 +122,9 @@ def parse_model(path: str, flags=None) -> ModelFile:
 
     The tolerances are resolved once: the defaults, then the values of
     ``flags`` (a mapping such as ``vars(args)``; keys other than
-    tolerances are ignored), then the file's own.  A structure function
-    is validated with the resolved ``tol_pole``.
+    tolerances are ignored), then the file's own; each must be positive
+    and finite.  A structure function is validated with the resolved
+    ``tol_pole``.  Every number of the model must be finite.
     """
     try:
         with open(path) as fh:
@@ -136,6 +145,9 @@ def parse_model(path: str, flags=None) -> ModelFile:
         raise SchemaError(f"{path}: tolerances must be numbers") from exc
     flags = {key: v for key, v in (flags or {}).items() if key in TOL_FLAGS}
     tols = {**TOL_FLAGS, **flags, **tols}
+    for key, value in tols.items():
+        if not 0.0 < value < np.inf:
+            raise SchemaError(f"{path}: {key} must be a positive finite number, got {value}")
 
     if kind == "state_space":
         for key in ("A", "B"):
@@ -182,6 +194,7 @@ def parse_model(path: str, flags=None) -> ModelFile:
                 raise SchemaError(f'{path}: dsf_pole_residue requires "{key}"')
         try:
             poles = [float(x) for x in raw["poles"]]
+            _check_finite(poles, f"{path}: poles")
             KQ = [_as_grid(K, f"{path}: KQ[{i}]") for i, K in enumerate(raw["KQ"])]
             KP = [_as_grid(K, f"{path}: KP[{i}]") for i, K in enumerate(raw["KP"])]
         except (TypeError, ValueError) as exc:

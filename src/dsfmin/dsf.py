@@ -12,7 +12,11 @@ transfer of a row system with 1 + h states; an orthogonal staircase
 (``sslib.kalman_reduce``) reduces it to the modes the row sees, an
 eigendecomposition gives their poles and residues, residues at or below
 TOL_RANK times the row's largest (each relative to its input column's
-norm) count as zero, and ``from_pole_residue`` builds the row's entries.
+norm) count as zero, and ``from_known_poles`` builds the row's entries.
+Those poles and residues stay with the structure function it returns:
+each entry keeps its poles and ``DSF.residues`` holds the residue
+matrices of [Q P], so the minimal-order search finds no root and
+evaluates no residue of a rational entry.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .ratcore import (
     RationalFunction,
     RationalMatrix,
     chain_clusters,
-    from_pole_residue,
+    from_known_poles,
     off_pole_points,
 )
 from .sslib import (
@@ -72,12 +76,18 @@ class DSF:
 
     ``poles`` holds the distinct poles of [Q P], ascending: the entries'
     poles merged at ``tol_pole`` by ``chain_clusters``, one mean each.
+    ``residues`` holds the residue matrices K_k of [Q P] at ``poles``,
+    an l x p x (p+m) array, when they are known exactly: ``compute_dsf``
+    sets them from its row eigendecompositions.  It is None for a
+    structure function built from rational entries, whose residues
+    ``residue_at`` evaluates.
     """
 
     Q: RationalMatrix
     P: RationalMatrix
     tol_pole: float = TOL_POLE
     poles: list = field(init=False, repr=False, compare=False)
+    residues: np.ndarray = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Q.rows != self.Q.cols:
@@ -156,14 +166,15 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     depends on the units of an input or a coupling.  Two eigenvalues
     within ``tol_pole`` that both keep a residue in one column raise
     RepeatedPole: in a cyclic system they are a multiple pole of that
-    entry, as DSF's per-entry rule has it.  ``from_pole_residue`` builds
-    the row's entries and DSF validates them.
+    entry, as DSF's per-entry rule has it.  ``from_known_poles`` builds
+    the row's entries, which keep their poles, and DSF validates them;
+    the rows' residues, summed per pole of [Q P], become ``residues``.
     """
     p = part.p
     ss = part.assemble()
     hidden = list(range(p, part.order))
     zero = RationalFunction([0.0])
-    Q, P = [], []
+    Q, P, rows = [], [], []
     for i in range(p):
         idx = [i, *hidden]
         others = [j for j in range(p) if j != i]
@@ -186,11 +197,45 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
                 seen = lam.real[col != 0.0]
                 if len(chain_clusters(seen, tol_pole)) < seen.size:
                     raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
-        row = from_pole_residue(PoleResidueForm(
+        row = from_known_poles(PoleResidueForm(
             lam.real, R[:, None, :], np.zeros((1, R.shape[1])))).entries[0]
         Q.append([*row[:i], zero, *row[i:p - 1]])
         P.append(row[p - 1:])
-    return DSF(RationalMatrix(Q), RationalMatrix(P), tol_pole)
+        rows.append((lam.real, np.insert(R, i, 0.0, axis=1)))
+    d = DSF(RationalMatrix(Q), RationalMatrix(P), tol_pole)
+    d.residues = _residues_at_poles(d, rows)
+    return d
+
+
+def _residues_at_poles(d: DSF, rows) -> np.ndarray:
+    """Residue matrices K_k of [Q P] at ``d.poles`` from each row's modes.
+
+    ``rows[i]`` holds row i's eigenvalues and their residues in the
+    columns of [Q P].  The eigenvalues that keep a residue are the poles
+    of row i's entries, so ``chain_clusters`` at ``d.tol_pole`` splits
+    them into the clusters whose means are ``d.poles``; row i of K_k sums
+    the residues of row i's eigenvalues in cluster k.  Two of them in one
+    cluster that keep a residue in one entry would be summed into one;
+    then this returns None, and ``residue_at`` judges each pole of [Q P]
+    from the entries, as it does for a structure function from rational
+    entries.
+    """
+    kept = []
+    for lam, R in rows:
+        seen = np.any(R != 0.0, axis=1)
+        kept.append((lam[seen], R[seen]))
+    clusters = chain_clusters(np.concatenate([lam for lam, _ in kept]), d.tol_pole)
+    lows = [c[0] for c in clusters]
+    K = np.zeros((len(clusters), d.p, d.p + d.m))
+    for i, (lam, R) in enumerate(kept):
+        k = np.searchsorted(lows, lam, side="right") - 1
+        if np.unique(k).size < k.size:
+            for col in R.T:
+                hit = k[col != 0.0]
+                if np.unique(hit).size < hit.size:
+                    return None
+        np.add.at(K, (k, i), R)
+    return K
 
 
 def dsf_to_transfer(d: DSF) -> RationalMatrix:
@@ -267,19 +312,23 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     hold every pole of row i of the realization's [Q P].  At each point
     [W V] = [A11 B1] + A12 (sI - A22)^(-1) [A21 B2], and row i of
     [Q P] is row i of [W V] with W_ii set to zero, divided by
-    s - W_ii.  Entries f, g agree when
+    s - W_ii.  The structure function's side is sum_k K_k / (s - lam_k)
+    over ``d.poles`` when d carries its residues, else each entry's
+    value.  Entries f, g agree when
     |f - g| <= tol_eval * max(1, |f|, |g|).
     """
     if part.p != d.p or part.m != d.m:
         raise ShapeMismatch(
             f"realization is {part.p}x{part.m}, structure function {d.p}x{d.m}")
     p, h = part.p, part.h
-    qp = d.qp().entries
     rows = np.array([[i, *range(p, p + h)] for i in range(p)])
     A_rows = part.assemble().A[rows[:, :, None], rows[:, None, :]]
     poles = [d.poles, np.linalg.eigvals(part.A22), np.linalg.eigvals(A_rows).ravel()]
     s = np.asarray(off_pole_points(np.concatenate(poles), 16))
-    want = np.moveaxis(np.array([[e(s) for e in row] for row in qp]), -1, 0)
+    if d.residues is None:
+        want = np.moveaxis(np.array([[e(s) for e in row] for row in d.qp().entries]), -1, 0)
+    else:
+        want = np.tensordot(1.0 / (s[:, None] - np.asarray(d.poles)), d.residues, axes=1)
     rhs = np.broadcast_to(np.hstack([part.A21, part.B2]), (s.size, h, p + part.m))
     wv = np.hstack([part.A11, part.B1]) + part.A12 @ np.linalg.solve(
         s[:, None, None] * np.eye(h) - part.A22, rhs)

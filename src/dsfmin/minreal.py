@@ -114,11 +114,11 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     [Q P] is strictly proper, the residue of the shifted matrix at lam
     is (lam - a) times that of [Q P], and its value at infinity is
     lim s[Q P] whatever a is.  The poles are ``d.poles`` and every pole
-    decision uses ``d.tol_pole``.  Each residue must have rank 1; the
-    repeated-pole generalization where residues gain rank is not
-    implemented.
+    decision uses ``d.tol_pole``.  The residues are ``d.residues`` when d
+    carries them, else ``residue_at`` evaluates each from the rational
+    entries.  Each residue must have rank 1; the repeated-pole
+    generalization where residues gain rank is not implemented.
     """
-    qp = d.qp()
     tol_pole = d.tol_pole
     max_mag = max((abs(x) for x in d.poles), default=0.0)
     if shift == "auto":
@@ -131,9 +131,14 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
         if a != 0.0 and any(abs(x - a) <= tol_pole for x in d.poles):
             raise ValueError(f"shift {a} coincides with a pole of [Q P]")
     poles = d.poles[::-1]
+    if d.residues is None:
+        qp = d.qp()
+        residues = (residue_at(qp, lam, tol_pole) for lam in poles)
+    else:
+        residues = d.residues[::-1]
     E_list, F_list = [], []
-    for lam in poles:
-        K = (lam - a) * residue_at(qp, lam, tol_pole)
+    for lam, K in zip(poles, residues):
+        K = (lam - a) * K
         E, F, r = rank_factorization(K, tol_rank)
         if r > 1:
             raise ResidueRankExceedsOne(

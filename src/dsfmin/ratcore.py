@@ -14,6 +14,8 @@ resolved only to about ``eps**(1/k)``; its copies are merged by
 given more than once are merged exactly (their residues summed), and
 each entry gets as poles exactly those whose residue in that entry is
 above ``_CHOP_REL`` (1e-12) times the entry's largest residue.
+``from_known_poles`` builds the same entries and has each keep its
+poles, so that ``poles()`` never finds them as denominator roots.
 
 Default tolerances; every operation that needs one accepts an override:
 
@@ -361,10 +363,14 @@ def _as_ratfun(x) -> RationalFunction:
     return RationalFunction([float(x)])
 
 
-def _raw_ratfun(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Wrap already-reduced parts, normalizing the denominator to monic."""
+def _raw_ratfun(num: Polynomial, den: Polynomial, poles=None) -> RationalFunction:
+    """Wrap already-reduced parts, normalizing the denominator to monic.
+
+    ``poles``, when given, is a read-only array of the denominator's
+    roots, which ``poles()`` then returns without finding them.
+    """
     obj = RationalFunction.__new__(RationalFunction)
-    obj._poles = None
+    obj._poles = poles
     lead = den.lead
     obj.num = num if lead == 1.0 else Polynomial(num.coeffs / lead)
     obj.den = den if lead == 1.0 else Polynomial(den.coeffs / lead)
@@ -675,14 +681,33 @@ def from_pole_residue(prf: PoleResidueForm) -> RationalMatrix:
     is built over its own poles, ``den = prod (s - lam_k)`` and
     ``num = D den + sum_k K_k prod_{m != k} (s - lam_m)``, so no root is
     found and nothing is cancelled.  Distinct poles closer than a pole
-    tolerance stay distinct, for ``DSF`` to reject as repeated.
+    tolerance stay distinct, for ``DSF`` to reject as repeated.  The
+    entries find their poles again, as denominator roots, when asked;
+    ``from_known_poles`` builds the same entries and keeps them.
     """
+    return _build_pole_residue(prf, keep_poles=False)
+
+
+def from_known_poles(prf: PoleResidueForm) -> RationalMatrix:
+    """``from_pole_residue`` whose entries keep the poles they are built over.
+
+    Each entry's ``poles()`` returns the ``lam_k`` it kept, exactly as
+    given, so nothing downstream (``DSF`` validation, ``rmat_poles``,
+    ``residue_at``) finds a root of its denominator.
+    """
+    return _build_pole_residue(prf, keep_poles=True)
+
+
+def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatrix:
     rows, cols = prf.shape
     lams, where = np.unique(prf.poles, return_inverse=True)
     K = np.zeros((lams.size, rows, cols))
     np.add.at(K, where, np.reshape(prf.residues, (-1, rows, cols)))
     support = np.abs(K) > _CHOP_REL * np.max(np.abs(K), axis=0, initial=0.0)
-    bases = {}  # support mask -> (den, partial products), shared across entries
+    none = np.zeros(0, dtype=complex)
+    none.flags.writeable = False
+    one = Polynomial([1.0])
+    bases = {}  # support mask -> (den, partial products, poles), shared across entries
     out = []
     for i in range(rows):
         row = []
@@ -691,12 +716,17 @@ def from_pole_residue(prf: PoleResidueForm) -> RationalMatrix:
             key = mask.tobytes()
             if key not in bases:
                 kept = lams[mask]
-                bases[key] = (Polynomial(npoly.polyfromroots(kept)), _products_of_others(kept))
-            den, partial = bases[key]
+                poles = kept.astype(complex)
+                poles.flags.writeable = False
+                bases[key] = (Polynomial(npoly.polyfromroots(kept)),
+                              _products_of_others(kept), poles)
+            den, partial, poles = bases[key]
             num = prf.constant[i, j] * den.coeffs
             num[:-1] += K[mask, i, j] @ partial
             num = Polynomial(num).chop()
-            row.append(_raw_ratfun(num, Polynomial([1.0]) if num.is_zero else den))
+            if num.is_zero:
+                den, poles = one, none
+            row.append(_raw_ratfun(num, den, poles if keep_poles else None))
         out.append(row)
     return RationalMatrix(out)
 

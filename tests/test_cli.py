@@ -258,6 +258,51 @@ class TestMalformedInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _with(data, key, i, j, value):
+    """A copy of ``data`` with ``data[key][i][j]`` set to ``value``."""
+    grid = [list(row) for row in data[key]]
+    grid[i][j] = value
+    return dict(data, **{key: grid})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteAndNonPositive:
+    """Non-finite numbers and tolerances that are not positive are schema errors."""
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "dsf_pole_residue", "poles": [NAN], "KQ": [[[0]]], "KP": [[[1]]]},
+        _with(CONFLICT_JSON, "KP", 0, 1, [INF]),
+        _with(ex1_state_space(p=3), "A", 0, 0, NAN),
+        _with(ex1_state_space(p=3), "A", 2, 4, INF),
+        _with(ex1_state_space(p=3), "B", 1, 1, -INF),
+        _with(EX2_JSON, "P", 2, 0, {"num": [1], "den": [NAN, 1]}),
+        dict(EX2_JSON, tolerances={"tol_eval": INF}),
+    ], ids=["pole_nan", "residue_inf", "A_nan", "A_inf", "B_minus_inf",
+            "coefficient_nan", "tolerance_inf"])
+    def test_non_finite_number_exits_3(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))  # json writes NaN and Infinity, and reads them
+        with pytest.raises(SchemaError):
+            parse_model(str(path))
+        assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [("tol_pole", -1), ("tol_eval", 0),
+                                            ("tol_rank", -1e-8)])
+    def test_non_positive_tolerance_exits_3(self, tmp_path, capsys, key, value):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(ex1_state_space(p=3, tolerances={key: value})))
+        assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert f"{key} must be a positive finite number" in capsys.readouterr().err
+
+    def test_non_positive_flag_exits_3(self, tmp_path, capsys):
+        assert main(["minreal", write_ex1(tmp_path), "--tol-orth", "0",
+                     "--out-dir", str(tmp_path)]) == 3
+
+
 class TestSearchOptions:
     """One compatibility rule, an automatic shift and a fixed free value."""
 

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from dsfmin import (
     kalman_reduce,
     mcmillan_degree,
     minreal_pipeline,
+    residue_at,
     rmat_equal,
     rmat_poles,
     structure_limits,
     transfer_function,
 )
+from dsfmin import minreal, ratcore
 from dsfmin.errors import ComplexPolesUnsupported, RepeatedPole, ShapeMismatch
 
 from conftest import ZERO, ex1_dsf_closed_form, random_dsf, random_partition, rmat
@@ -384,4 +387,90 @@ class TestRowRealization:
             part = PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
             result = minreal_pipeline(compute_dsf(part))
             assert result.order <= 13
+            assert all(r.consistent for r in result.realizations)
+
+
+class TestCarriedRowData:
+    """The row poles and residues compute_dsf hands to the pipeline."""
+
+    @staticmethod
+    def relay_parts(rng, count):
+        relay_blocks = _relay_blocks()
+        sizes = ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4))
+        return [PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
+                for b in (relay_blocks(rng, *sizes[k % len(sizes)], 2)
+                          for k in range(count))]
+
+    def test_residues_agree_with_residue_at(self, ex1_partition):
+        # the symbolic path, residue_at on the rational entries, is the reference
+        parts = [ex1_partition, *self.relay_parts(np.random.default_rng(31), 20)]
+        for part in parts:
+            d = compute_dsf(part)
+            assert d.residues.shape == (len(d.poles), d.p, d.p + d.m)
+            qp = d.qp()
+            for lam, K in zip(d.poles, d.residues):
+                want = residue_at(qp, lam, d.tol_pole)
+                assert np.max(np.abs(K - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_rational_entries_carry_no_residues(self, ex1_partition):
+        d = compute_dsf(ex1_partition)
+        assert DSF(d.Q, d.P).residues is None
+        assert random_dsf(np.random.default_rng(3), 3, 2, 4).residues is None
+
+    def test_consistency_by_residues_matches_entry_values(self):
+        # the same realizations judged against [Q P] as residues and as entries
+        for part in self.relay_parts(np.random.default_rng(37), 10):
+            d = compute_dsf(part)
+            rational = DSF(d.Q, d.P, d.tol_pole)
+            for delta in (0.0, 1e-6, 1e-2):
+                A22 = part.A22.copy()
+                A22[0, 0] += delta
+                nudged = PartitionedRealization(part.A11, part.A12, part.A21,
+                                                A22, part.B1, part.B2)
+                assert consistency_check(nudged, d) == consistency_check(nudged, rational)
+            assert consistency_check(part, d)
+
+    def test_entry_with_two_poles_in_one_cluster_is_left_to_residue_at(self):
+        # y1's u entry has poles -1 and -1 - 1.8e-6, apart at tol_pole 1e-6,
+        # which y2's pole -1 - 0.9e-6 chains into one pole of [Q P]
+        A = np.diag([-5.0, -1.0 - 0.9e-6, -1.0, -1.0 - 1.8e-6])
+        A[0, 2] = A[0, 3] = 1.0
+        d = compute_dsf(_partition(A, [[0.], [1.], [1.], [1.]], 2))
+        assert len(d.poles) == 2 and d.residues is None
+        with pytest.raises(RepeatedPole):
+            minreal_pipeline(d)
+
+    def test_state_space_pipeline_finds_no_root_and_no_residue(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ratcore.Polynomial, "roots",
+                            counted("roots", ratcore.Polynomial.roots))
+        for module in (ratcore, minreal):
+            monkeypatch.setattr(module, "residue_at", counted("residue_at", module.residue_at))
+        part = self.relay_parts(np.random.default_rng(43), 5)[-1]
+        d = compute_dsf(part)
+        result = minreal_pipeline(d, enumerate_all=True)
+        assert result.l >= d.p and all(r.consistent for r in result.realizations)
+        assert calls == Counter()
+        # the counters count: a DSF of rational entries takes residue_at, and
+        # entries that do not keep their poles find them as roots
+        minreal_pipeline(DSF(d.Q, d.P, d.tol_pole))
+        assert calls["residue_at"] == result.l and calls["roots"] == 0
+        minreal_pipeline(random_dsf(np.random.default_rng(3), 3, 2, 4))
+        assert calls["roots"] > 0
+
+    def test_relay_eight_plus_twelve(self):
+        rng = np.random.default_rng(7)
+        relay_blocks = _relay_blocks()
+        for _ in range(30):
+            b = relay_blocks(rng, 8, 12, 2)
+            part = PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
+            result = minreal_pipeline(compute_dsf(part))
+            assert result.order <= 20
             assert all(r.consistent for r in result.realizations)

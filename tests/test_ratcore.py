@@ -31,7 +31,7 @@ from dsfmin.errors import (
     ZeroDenominator,
     ZeroPolynomial,
 )
-from dsfmin.ratcore import S_POLY
+from dsfmin.ratcore import S_POLY, from_known_poles
 
 from conftest import EX2_D1, ZERO, rf, rmat
 
@@ -338,6 +338,27 @@ class TestPoleResidueForms:
             PoleResidueForm([-1.0], [one], np.zeros((1, 1)) + 1.0j)
         prf = PoleResidueForm(np.array([-1.0 + 0.0j]), [one + 0.0j], np.zeros((1, 1)))
         assert prf.poles.dtype == float and prf.poles[0] == -1.0
+
+    def test_known_poles_entries_keep_their_poles(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        prf = _random_dsf_form(rng, 4, 2, 8)
+        prf.residues[3][1, 2] = 1e-20  # below the floor: not a pole of that entry
+        want = from_pole_residue(prf)
+        got = from_known_poles(prf)
+
+        def no_roots(self):
+            raise AssertionError("an entry of from_known_poles must not find roots")
+
+        monkeypatch.setattr(Polynomial, "roots", no_roots)
+        K = np.array(prf.residues)
+        for i in range(got.rows):
+            for j in range(got.cols):
+                e, w = got.entry(i, j), want.entry(i, j)
+                assert np.array_equal(e.num.coeffs, w.num.coeffs)
+                assert np.array_equal(e.den.coeffs, w.den.coeffs)
+                kept = prf.poles[np.abs(K[:, i, j]) > 1e-12 * np.max(np.abs(K[:, i, j]))]
+                assert np.array_equal(e.poles(), kept)
+        assert rmat_poles(got) == sorted(prf.poles.tolist())
 
 
 def _random_dsf_form(rng, p, m, l):
