@@ -76,17 +76,21 @@ class DSF:
 
     ``poles`` holds the distinct poles of [Q P], ascending: the entries'
     poles merged at ``tol_pole`` by ``chain_clusters``, one mean each.
-    ``residues`` holds the residue matrices K_k of [Q P] at ``poles``,
-    an l x p x (p+m) array, when they are known exactly: ``compute_dsf``
-    sets them from its row eigendecompositions.  It is None for a
-    structure function built from rational entries, whose residues
-    ``residue_at`` evaluates.
+    ``modes`` and ``residues`` are set by ``compute_dsf`` from its row
+    eigendecompositions and are None for a structure function built from
+    rational entries, whose residues ``residue_at`` evaluates.
+    ``modes`` is a pair (lam, R): every row eigenvalue that keeps a
+    residue, unmerged, and its n x p x (p+m) residues, each zero outside
+    its row, so [Q P] = sum_n R_n / (s - lam_n) exactly.  ``residues``
+    holds the residue matrices K_k of [Q P] at ``poles``, an
+    l x p x (p+m) array: K_k sums the R_n whose lam_n merge into pole k.
     """
 
     Q: RationalMatrix
     P: RationalMatrix
     tol_pole: float = TOL_POLE
     poles: list = field(init=False, repr=False, compare=False)
+    modes: tuple = field(init=False, default=None, repr=False, compare=False)
     residues: np.ndarray = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,11 +168,11 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     noise and count as zero, each residue taken relative to the norm of
     its column of B_i, so that neither this floor nor the staircase
     depends on the units of an input or a coupling.  Two eigenvalues
-    within ``tol_pole`` that both keep a residue in one column raise
-    RepeatedPole: in a cyclic system they are a multiple pole of that
-    entry, as DSF's per-entry rule has it.  ``from_known_poles`` builds
-    the row's entries, which keep their poles, and DSF validates them;
-    the rows' residues, summed per pole of [Q P], become ``residues``.
+    within ``tol_pole`` that both keep a residue in one column are a
+    multiple pole of that entry in a cyclic system, and DSF's per-entry
+    rule raises RepeatedPole.  ``from_known_poles`` builds the row's
+    entries, which keep their poles, and DSF validates them;
+    the rows' poles and residues become ``modes`` and ``residues``.
     """
     p = part.p
     ss = part.assemble()
@@ -191,51 +195,46 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
         R = ((C @ V).T * np.linalg.solve(V, B)).real
         scaled = np.abs(R) / norms
         R[scaled <= TOL_RANK * np.max(scaled, initial=0.0)] = 0.0
-        if len(chain_clusters(lam.real, tol_pole)) < lam.size:
-            # close poles of a row are repeated only where one entry has both
-            for col in R.T:
-                seen = lam.real[col != 0.0]
-                if len(chain_clusters(seen, tol_pole)) < seen.size:
-                    raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
         row = from_known_poles(PoleResidueForm(
             lam.real, R[:, None, :], np.zeros((1, R.shape[1])))).entries[0]
         Q.append([*row[:i], zero, *row[i:p - 1]])
         P.append(row[p - 1:])
         rows.append((lam.real, np.insert(R, i, 0.0, axis=1)))
     d = DSF(RationalMatrix(Q), RationalMatrix(P), tol_pole)
-    d.residues = _residues_at_poles(d, rows)
+    _carry_row_modes(d, rows)
     return d
 
 
-def _residues_at_poles(d: DSF, rows) -> np.ndarray:
-    """Residue matrices K_k of [Q P] at ``d.poles`` from each row's modes.
+def _carry_row_modes(d: DSF, rows) -> None:
+    """Set ``d.modes`` and ``d.residues`` from each row's modes.
 
     ``rows[i]`` holds row i's eigenvalues and their residues in the
     columns of [Q P].  The eigenvalues that keep a residue are the poles
     of row i's entries, so ``chain_clusters`` at ``d.tol_pole`` splits
-    them into the clusters whose means are ``d.poles``; row i of K_k sums
-    the residues of row i's eigenvalues in cluster k.  Two of them in one
-    cluster that keep a residue in one entry would be summed into one;
-    then this returns None, and ``residue_at`` judges each pole of [Q P]
-    from the entries, as it does for a structure function from rational
-    entries.
+    them into the clusters whose means are ``d.poles``, and K_k sums the
+    residues in cluster k.  Two eigenvalues in one cluster that keep a
+    residue in one entry would be summed into one simple pole of that
+    entry; they raise RepeatedPole, as a multiple pole of it.
     """
-    kept = []
-    for lam, R in rows:
-        seen = np.any(R != 0.0, axis=1)
-        kept.append((lam[seen], R[seen]))
-    clusters = chain_clusters(np.concatenate([lam for lam, _ in kept]), d.tol_pole)
-    lows = [c[0] for c in clusters]
-    K = np.zeros((len(clusters), d.p, d.p + d.m))
-    for i, (lam, R) in enumerate(kept):
-        k = np.searchsorted(lows, lam, side="right") - 1
-        if np.unique(k).size < k.size:
-            for col in R.T:
-                hit = k[col != 0.0]
-                if np.unique(hit).size < hit.size:
-                    return None
-        np.add.at(K, (k, i), R)
-    return K
+    lam, R = [], []
+    for i, (row_lam, row_R) in enumerate(rows):
+        seen = np.any(row_R != 0.0, axis=1)
+        block = np.zeros((int(seen.sum()), d.p, d.p + d.m))
+        block[:, i] = row_R[seen]
+        lam.append(row_lam[seen])
+        R.append(block)
+    lam, R = np.concatenate(lam), np.concatenate(R)
+    clusters = chain_clusters(lam, d.tol_pole)
+    k = np.searchsorted([c[0] for c in clusters], lam, side="right") - 1
+    hits = np.zeros((len(clusters), d.p, d.p + d.m), dtype=int)
+    np.add.at(hits, k, R != 0.0)
+    if np.any(hits > 1):
+        i = int(np.argwhere(hits > 1)[0, 1])
+        raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
+    K = np.zeros(hits.shape)
+    np.add.at(K, k, R)
+    d.modes = (lam, R)
+    d.residues = K
 
 
 def dsf_to_transfer(d: DSF) -> RationalMatrix:
@@ -312,9 +311,9 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     hold every pole of row i of the realization's [Q P].  At each point
     [W V] = [A11 B1] + A12 (sI - A22)^(-1) [A21 B2], and row i of
     [Q P] is row i of [W V] with W_ii set to zero, divided by
-    s - W_ii.  The structure function's side is sum_k K_k / (s - lam_k)
-    over ``d.poles`` when d carries its residues, else each entry's
-    value.  Entries f, g agree when
+    s - W_ii.  The structure function's side is sum_n R_n / (s - lam_n)
+    over ``d.modes``, the row eigenvalues unmerged, when d carries them,
+    else each entry's value.  Entries f, g agree when
     |f - g| <= tol_eval * max(1, |f|, |g|).
     """
     if part.p != d.p or part.m != d.m:
@@ -325,10 +324,11 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     A_rows = part.assemble().A[rows[:, :, None], rows[:, None, :]]
     poles = [d.poles, np.linalg.eigvals(part.A22), np.linalg.eigvals(A_rows).ravel()]
     s = np.asarray(off_pole_points(np.concatenate(poles), 16))
-    if d.residues is None:
+    if d.modes is None:
         want = np.moveaxis(np.array([[e(s) for e in row] for row in d.qp().entries]), -1, 0)
     else:
-        want = np.tensordot(1.0 / (s[:, None] - np.asarray(d.poles)), d.residues, axes=1)
+        lam, R = d.modes
+        want = np.tensordot(1.0 / (s[:, None] - lam), R, axes=1)
     rhs = np.broadcast_to(np.hstack([part.A21, part.B2]), (s.size, h, p + part.m))
     wv = np.hstack([part.A11, part.B1]) + part.A12 @ np.linalg.solve(
         s[:, None, None] * np.eye(h) - part.A22, rhs)

@@ -430,15 +430,31 @@ class TestCarriedRowData:
                 assert consistency_check(nudged, d) == consistency_check(nudged, rational)
             assert consistency_check(part, d)
 
-    def test_entry_with_two_poles_in_one_cluster_is_left_to_residue_at(self):
+    def test_entry_with_two_poles_in_one_cluster_is_repeated(self):
         # y1's u entry has poles -1 and -1 - 1.8e-6, apart at tol_pole 1e-6,
         # which y2's pole -1 - 0.9e-6 chains into one pole of [Q P]
         A = np.diag([-5.0, -1.0 - 0.9e-6, -1.0, -1.0 - 1.8e-6])
         A[0, 2] = A[0, 3] = 1.0
-        d = compute_dsf(_partition(A, [[0.], [1.], [1.], [1.]], 2))
-        assert len(d.poles) == 2 and d.residues is None
         with pytest.raises(RepeatedPole):
-            minreal_pipeline(d)
+            compute_dsf(_partition(A, [[0.], [1.], [1.], [1.]], 2))
+
+    def test_close_poles_judged_as_pole_residue_input(self):
+        # poles -1 and -1 + 5e-7 in different entries merge into one pole of
+        # [Q P]; the realization built at their mean is judged against the
+        # unmerged poles, with the verdict the same [Q P] gets as residues
+        lam = -1.0 + 5e-7
+        d = compute_dsf(_partition([[-1., 5e-7], [0., lam]], [[1., 1.], [0., 1.]], 1))
+        assert len(d.poles) == 1
+        assert np.sort(d.modes[0]) == pytest.approx([-1.0, lam], abs=1e-12)
+        prf = PoleResidueForm([-1.0, lam], [[[1., 0.]], [[0., 1.]]], np.zeros((1, 2)))
+        given = DSF(from_pole_residue(PoleResidueForm([-1.0, lam], np.zeros((2, 1, 1)),
+                                                      np.zeros((1, 1)))),
+                    from_pole_residue(prf))
+        ours, theirs = (minreal_pipeline(x, enumerate_all=True).realizations
+                        for x in (d, given))
+        assert [r.consistent for r in ours] == [r.consistent for r in theirs]
+        for r in ours:
+            assert consistency_check(r.realization, d) == consistency_check(r.realization, given)
 
     def test_state_space_pipeline_finds_no_root_and_no_residue(self, monkeypatch):
         calls = Counter()
