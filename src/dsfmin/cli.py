@@ -46,10 +46,8 @@ from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
     TOL_ROOT,
-    PoleResidueForm,
     RationalFunction,
     RationalMatrix,
-    from_pole_residue,
 )
 from .sslib import (
     TOL_RANK,
@@ -203,16 +201,17 @@ def parse_model(path: str, flags=None) -> ModelFile:
             raise SchemaError(f"{path}: KQ/KP must list one matrix per pole")
         if not poles:
             raise SchemaError(f"{path}: at least one pole is required")
-        p = KQ[0].shape[0]
-        try:
-            Q = from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((p, p))))
-            P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((p, KP[0].shape[1]))))
-        except DsfminError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+        p, m = KQ[0].shape[0], KP[0].shape[1]
+        if any(K.shape != (p, p) for K in KQ) or any(K.shape != (p, m) for K in KP):
+            raise SchemaError(f"{path}: every KQ must be p x p and every KP p x m")
+        R = np.concatenate([KQ, KP], axis=2)
     else:
         raise SchemaError(f"{path}: unknown kind {kind!r}")
     try:
-        d = DSF(Q, P, tols["tol_pole"])
+        if kind == "dsf_coeff":
+            d = DSF(Q, P, tols["tol_pole"])
+        else:
+            d = DSF.from_modes(poles, R, tols["tol_pole"])
     except AssumptionError:
         raise
     except (ValueError, DsfminError) as exc:

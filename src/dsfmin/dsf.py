@@ -10,17 +10,19 @@ P_ij = V_ij / (s - W_ii).
 ``compute_dsf`` does not form that quotient.  Row i of [Q P] is the
 transfer of a row system with 1 + h states; an orthogonal staircase
 (``sslib.kalman_reduce``) reduces it to the modes the row sees, an
-eigendecomposition gives their poles and residues, residues at or below
-TOL_RANK times the row's largest (each relative to its input column's
-norm) count as zero, and ``from_known_poles`` builds the row's entries.
-Those poles and residues stay with the structure function it returns:
-each entry keeps its poles and ``DSF.residues`` holds the residue
-matrices of [Q P], so the minimal-order search finds no root and
-evaluates no residue of a rational entry.
+eigendecomposition gives their poles and residues, and residues at or
+below TOL_RANK times the row's largest (each relative to its input
+column's norm) count as zero.  ``DSF.from_modes`` builds [Q P] from them,
+as from a ``dsf_pole_residue`` file, and keeps them, so the minimal-order
+search finds no root and evaluates no residue of a rational entry.
+``DSF`` judges repeated poles by one rule for every input: no entry may
+have two poles in one pole of [Q P], the entries' poles chained at
+``tol_pole``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +37,10 @@ from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
     PoleResidueForm,
-    RationalFunction,
     RationalMatrix,
     chain_clusters,
     from_known_poles,
+    merge_poles,
     off_pole_points,
 )
 from .sslib import (
@@ -53,21 +55,9 @@ from .sslib import (
 TOL_STRUCT = 1e-9
 
 
-def _real_simple_poles(M: RationalMatrix, tol_pole: float, label: str) -> list:
-    """Real parts of all entry poles of M; each entry's must be real and simple."""
-    roots = []
-    for i in range(M.rows):
-        for j in range(M.cols):
-            r = M.entries[i][j].poles()
-            if not r.size:
-                continue
-            if np.max(np.abs(r.imag)) > tol_pole:
-                raise ComplexPolesUnsupported(
-                    f"{label}[{i}][{j}] has complex poles; only real poles are supported")
-            if len(chain_clusters(r.real, tol_pole)) < r.size:
-                raise RepeatedPole(f"{label}[{i}][{j}] has a repeated pole")
-            roots.extend(r.real)
-    return roots
+def _cluster_of(x, clusters) -> np.ndarray:
+    """Index into ``clusters``, from ``chain_clusters``, of each value of ``x``."""
+    return np.searchsorted([c[0] for c in clusters], x, side="right") - 1
 
 
 @dataclass
@@ -75,15 +65,15 @@ class DSF:
     """Dynamical structure function [Q, P] with validated invariants.
 
     ``poles`` holds the distinct poles of [Q P], ascending: the entries'
-    poles merged at ``tol_pole`` by ``chain_clusters``, one mean each.
-    ``modes`` and ``residues`` are set by ``compute_dsf`` from its row
-    eigendecompositions and are None for a structure function built from
-    rational entries, whose residues ``residue_at`` evaluates.
-    ``modes`` is a pair (lam, R): every row eigenvalue that keeps a
-    residue, unmerged, and its n x p x (p+m) residues, each zero outside
-    its row, so [Q P] = sum_n R_n / (s - lam_n) exactly.  ``residues``
-    holds the residue matrices K_k of [Q P] at ``poles``, an
-    l x p x (p+m) array: K_k sums the R_n whose lam_n merge into pole k.
+    poles chained at ``tol_pole`` by ``chain_clusters``, one mean each.
+    Each entry's poles must be real, and no two of them may chain into one
+    pole of [Q P]: the one repeated-pole rule.  ``from_modes`` sets
+    ``modes`` and ``residues``; they are None for rational entries, whose
+    residues ``residue_at`` evaluates.  ``modes`` is a pair (lam, R) with
+    [Q P] = sum_n R_n / (s - lam_n): the entries' distinct poles, unchained,
+    and their n x p x (p+m) residues.  ``residues`` holds the residue
+    matrices K_k of [Q P] at ``poles``, l x p x (p+m): K_k sums the R_n
+    whose lam_n chain into pole k.
     """
 
     Q: RationalMatrix
@@ -101,14 +91,44 @@ class DSF:
         for i in range(self.Q.rows):
             if not self.Q.entries[i][i].is_zero:
                 raise ValueError(f"Q[{i}][{i}] must be identically zero")
+        roots, owner = [], []
         for label, M in (("Q", self.Q), ("P", self.P)):
-            for i in range(M.rows):
-                for j in range(M.cols):
-                    if not M.entries[i][j].is_strictly_proper:
+            for i, row in enumerate(M.entries):
+                for j, e in enumerate(row):
+                    if not e.is_strictly_proper:
                         raise ValueError(f"{label}[{i}][{j}] is not strictly proper")
-        roots = (_real_simple_poles(self.Q, self.tol_pole, "Q")
-                 + _real_simple_poles(self.P, self.tol_pole, "P"))
-        self.poles = [float(np.mean(c)) for c in chain_clusters(roots, self.tol_pole)]
+                    roots.append(e.poles())
+                    owner += [f"{label}[{i}][{j}]"] * roots[-1].size
+        roots = np.concatenate(roots)
+        complex_ = np.abs(roots.imag) > self.tol_pole
+        if complex_.any():
+            raise ComplexPolesUnsupported(f"{owner[np.argmax(complex_)]} has complex "
+                                          "poles; only real poles are supported")
+        clusters = chain_clusters(roots.real, self.tol_pole)
+        hits = Counter(zip(owner, _cluster_of(roots.real, clusters).tolist()))
+        twice = [name for (name, _), n in hits.items() if n > 1]
+        if twice:
+            raise RepeatedPole(f"{twice[0]} has two poles that chain into one pole of [Q P]")
+        self.poles = [float(np.mean(c)) for c in clusters]
+
+    @classmethod
+    def from_modes(cls, lam, R, tol_pole: float = TOL_POLE) -> "DSF":
+        """[Q P] = sum_n R_n / (s - lam_n), with R n x p x (p+m).
+
+        ``merge_poles`` sums and floors the residues as ``from_known_poles``
+        does, so ``modes`` holds exactly the poles the entries keep.
+        """
+        lam, R = merge_poles(np.asarray(lam, dtype=float), np.asarray(R, dtype=float))
+        kept = np.any(R != 0.0, axis=(1, 2))
+        lam, R = lam[kept], R[kept]
+        p = R.shape[1]
+        QP = from_known_poles(PoleResidueForm(lam, R, np.zeros(R.shape[1:]))).entries
+        d = cls(RationalMatrix([row[:p] for row in QP]),
+                RationalMatrix([row[p:] for row in QP]), tol_pole)
+        d.modes = (lam, R)
+        d.residues = np.zeros((len(d.poles), *R.shape[1:]))
+        np.add.at(d.residues, _cluster_of(lam, chain_clusters(lam, tol_pole)), R)
+        return d
 
     @property
     def p(self) -> int:
@@ -167,18 +187,14 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     Residues at or below TOL_RANK times the row's largest are rounding
     noise and count as zero, each residue taken relative to the norm of
     its column of B_i, so that neither this floor nor the staircase
-    depends on the units of an input or a coupling.  Two eigenvalues
-    within ``tol_pole`` that both keep a residue in one column are a
-    multiple pole of that entry in a cyclic system, and DSF's per-entry
-    rule raises RepeatedPole.  ``from_known_poles`` builds the row's
-    entries, which keep their poles, and DSF validates them;
-    the rows' poles and residues become ``modes`` and ``residues``.
+    depends on the units of an input or a coupling.  The rows' poles and
+    residues, stacked, go to ``DSF.from_modes``; two of them in one entry
+    and one chained pole of [Q P] are, in a cyclic row, a multiple pole.
     """
     p = part.p
     ss = part.assemble()
     hidden = list(range(p, part.order))
-    zero = RationalFunction([0.0])
-    Q, P, rows = [], [], []
+    lams, Rs = [], []
     for i in range(p):
         idx = [i, *hidden]
         others = [j for j in range(p) if j != i]
@@ -195,46 +211,11 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
         R = ((C @ V).T * np.linalg.solve(V, B)).real
         scaled = np.abs(R) / norms
         R[scaled <= TOL_RANK * np.max(scaled, initial=0.0)] = 0.0
-        row = from_known_poles(PoleResidueForm(
-            lam.real, R[:, None, :], np.zeros((1, R.shape[1])))).entries[0]
-        Q.append([*row[:i], zero, *row[i:p - 1]])
-        P.append(row[p - 1:])
-        rows.append((lam.real, np.insert(R, i, 0.0, axis=1)))
-    d = DSF(RationalMatrix(Q), RationalMatrix(P), tol_pole)
-    _carry_row_modes(d, rows)
-    return d
-
-
-def _carry_row_modes(d: DSF, rows) -> None:
-    """Set ``d.modes`` and ``d.residues`` from each row's modes.
-
-    ``rows[i]`` holds row i's eigenvalues and their residues in the
-    columns of [Q P].  The eigenvalues that keep a residue are the poles
-    of row i's entries, so ``chain_clusters`` at ``d.tol_pole`` splits
-    them into the clusters whose means are ``d.poles``, and K_k sums the
-    residues in cluster k.  Two eigenvalues in one cluster that keep a
-    residue in one entry would be summed into one simple pole of that
-    entry; they raise RepeatedPole, as a multiple pole of it.
-    """
-    lam, R = [], []
-    for i, (row_lam, row_R) in enumerate(rows):
-        seen = np.any(row_R != 0.0, axis=1)
-        block = np.zeros((int(seen.sum()), d.p, d.p + d.m))
-        block[:, i] = row_R[seen]
-        lam.append(row_lam[seen])
-        R.append(block)
-    lam, R = np.concatenate(lam), np.concatenate(R)
-    clusters = chain_clusters(lam, d.tol_pole)
-    k = np.searchsorted([c[0] for c in clusters], lam, side="right") - 1
-    hits = np.zeros((len(clusters), d.p, d.p + d.m), dtype=int)
-    np.add.at(hits, k, R != 0.0)
-    if np.any(hits > 1):
-        i = int(np.argwhere(hits > 1)[0, 1])
-        raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
-    K = np.zeros(hits.shape)
-    np.add.at(K, k, R)
-    d.modes = (lam, R)
-    d.residues = K
+        block = np.zeros((lam.size, p, p + part.m))
+        block[:, i] = np.insert(R, i, 0.0, axis=1)
+        lams.append(lam.real)
+        Rs.append(block)
+    return DSF.from_modes(np.concatenate(lams), np.concatenate(Rs), tol_pole)
 
 
 def dsf_to_transfer(d: DSF) -> RationalMatrix:
@@ -312,7 +293,7 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     [W V] = [A11 B1] + A12 (sI - A22)^(-1) [A21 B2], and row i of
     [Q P] is row i of [W V] with W_ii set to zero, divided by
     s - W_ii.  The structure function's side is sum_n R_n / (s - lam_n)
-    over ``d.modes``, the row eigenvalues unmerged, when d carries them,
+    over ``d.modes``, the entries' poles unchained, when d carries them,
     else each entry's value.  Entries f, g agree when
     |f - g| <= tol_eval * max(1, |f|, |g|).
     """

@@ -115,9 +115,10 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     is (lam - a) times that of [Q P], and its value at infinity is
     lim s[Q P] whatever a is.  The poles are ``d.poles`` and every pole
     decision uses ``d.tol_pole``.  The residues are ``d.residues`` when d
-    carries them, else ``residue_at`` evaluates each from the rational
-    entries.  Each residue must have rank 1; the repeated-pole
-    generalization where residues gain rank is not implemented.
+    was built by ``DSF.from_modes`` (``compute_dsf`` and ``dsf_pole_residue``
+    files), else ``residue_at`` evaluates each from the rational entries.
+    Each residue must have rank 1; the repeated-pole generalization where
+    residues gain rank is not implemented.
     """
     tol_pole = d.tol_pole
     max_mag = max((abs(x) for x in d.poles), default=0.0)

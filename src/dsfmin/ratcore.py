@@ -698,12 +698,23 @@ def from_known_poles(prf: PoleResidueForm) -> RationalMatrix:
     return _build_pole_residue(prf, keep_poles=True)
 
 
+def merge_poles(poles, residues):
+    """Distinct ``poles``, ascending, and their residues, summed over repeats.
+
+    ``residues`` is n x rows x cols; a summed residue at or below
+    ``_CHOP_REL`` times its entry's largest is set to zero.
+    """
+    lams, where = np.unique(poles, return_inverse=True)
+    K = np.zeros((lams.size, *residues.shape[1:]))
+    np.add.at(K, where, residues)
+    K[np.abs(K) <= _CHOP_REL * np.max(np.abs(K), axis=0, initial=0.0)] = 0.0
+    return lams, K
+
+
 def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatrix:
     rows, cols = prf.shape
-    lams, where = np.unique(prf.poles, return_inverse=True)
-    K = np.zeros((lams.size, rows, cols))
-    np.add.at(K, where, np.reshape(prf.residues, (-1, rows, cols)))
-    support = np.abs(K) > _CHOP_REL * np.max(np.abs(K), axis=0, initial=0.0)
+    lams, K = merge_poles(prf.poles, np.reshape(prf.residues, (-1, rows, cols)))
+    support = K != 0.0
     none = np.zeros(0, dtype=complex)
     none.flags.writeable = False
     one = Polynomial([1.0])

@@ -127,8 +127,9 @@ def random_partition(rng, p, h, m, attempts=80):
     raise RuntimeError("failed to sample a valid partitioned system")
 
 
-def random_dsf(rng, p, m, l):
-    """Structure function with rank-1 residues and distinct real poles.
+def random_pole_residue(rng, p, m, l):
+    """Poles and residues (poles, KQ, KP) of a structure function with
+    rank-1 residues and distinct real poles.
 
     Each pole gets a residue column supported on a random row subset;
     the row factor is zeroed on that subset in the Q block so that the
@@ -148,6 +149,12 @@ def random_dsf(rng, p, m, l):
             Fp[0] = 1.0
         KQ.append(np.outer(E, Fq))
         KP.append(np.outer(E, Fp))
+    return poles, KQ, KP
+
+
+def random_dsf(rng, p, m, l):
+    """Structure function of ``random_pole_residue``, built from rational entries."""
+    poles, KQ, KP = random_pole_residue(rng, p, m, l)
     Q = from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((p, p))))
     P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((p, m))))
     return DSF(Q, P)

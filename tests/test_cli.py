@@ -10,7 +10,7 @@ from dsfmin import kalman_reduce, rmat_equal
 from dsfmin.cli import dsf_to_json, main, model_to_dsf, parse_model, part_to_json
 from dsfmin.errors import SchemaError
 
-from conftest import ZERO, ex1_matrices, rmat
+from conftest import ZERO, ex1_matrices, random_pole_residue, rmat
 from test_dsf import _relay_blocks
 
 
@@ -86,6 +86,24 @@ class TestParseModel:
         model = parse_model(str(path))
         expect_q = rmat([[ZERO, ([-1], [1, 1])], [([-2], [2, 1]), ZERO]])
         assert rmat_equal(model.dsf.Q, expect_q)
+
+    def test_pole_listed_twice_merges(self, tmp_path):
+        def model(poles, KQ, KP):
+            path = tmp_path / f"pr_{len(poles)}.json"
+            path.write_text(json.dumps({"kind": "dsf_pole_residue", "poles": poles,
+                                        "KQ": KQ, "KP": KP}))
+            return parse_model(str(path)).dsf
+
+        twice = model([-1.0, -2.0, -1.0],
+                      [[[0.0, -1.0], [0.0, 0.0]], [[0.0, 0.0], [-2.0, 0.0]],
+                       [[0.0, 3.0], [0.0, 0.0]]],
+                      [[[1.0], [0.0]], [[0.0], [1.0]], [[0.5], [0.0]]])
+        once = model([-1.0, -2.0],
+                     [[[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [-2.0, 0.0]]],
+                     [[[1.5], [0.0]], [[0.0], [1.0]]])
+        assert twice.poles == once.poles == [-2.0, -1.0]
+        assert np.array_equal(twice.residues, once.residues)
+        assert rmat_equal(twice.Q, once.Q) and rmat_equal(twice.P, once.P)
 
     def test_non_numeric_tolerance_rejected(self, tmp_path):
         path = tmp_path / "bad_tol.json"
@@ -217,6 +235,21 @@ class TestMinrealCommand:
         assert main(["minreal", str(path), "--tol-pole", "1e-8",
                      "--out-dir", str(tmp_path)]) == 0
 
+    def test_fourteen_pole_draws_are_consistent(self, tmp_path, capsys):
+        # the exact residues of the file reach the search: none is lost to
+        # root finding on a degree-13 entry
+        rng = np.random.default_rng(2026)
+        path = tmp_path / "pr14.json"
+        for _ in range(30):
+            poles, KQ, KP = random_pole_residue(rng, 4, 2, 14)
+            path.write_text(json.dumps({"kind": "dsf_pole_residue", "poles": poles.tolist(),
+                                        "KQ": [K.tolist() for K in KQ],
+                                        "KP": [K.tolist() for K in KP]}))
+            assert parse_model(str(path)).dsf.residues is not None
+            assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 0
+            report = capsys.readouterr().out
+            assert "consistency: PASS" in report and "FAIL" not in report
+
     def test_missing_file_exits_3(self, capsys):
         assert main(["minreal", "/nonexistent/nowhere.json"]) == 3
 
@@ -244,8 +277,14 @@ class TestMalformedInput:
         # a realization with m = 1 against the ex1 model, which has m = 2
         ("verify", {"kind": "state_space", "A": (-np.eye(3)).tolist(),
                     "B": np.ones((3, 1)).tolist(), "p": 3}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": [-1.0],
+                     "KQ": [[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]], "KP": [[[1.0], [0.0]]]}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": [-1.0],
+                     "KQ": [[[0.0, 1.0], [0.0, 0.0]]], "KP": [[[1.0], [0.0], [1.0]]]}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": [-1.0],
+                     "KQ": [[[1.0, 1.0], [0.0, 0.0]]], "KP": [[[1.0], [0.0]]]}),
     ], ids=["p_string", "p_fraction", "C_more_rows_than_states", "zero_denominator",
-            "verify_shape_mismatch"])
+            "verify_shape_mismatch", "KQ_not_square", "KP_rows_differ", "KQ_diagonal"])
     def test_exits_3_with_one_error_line(self, tmp_path, capsys, command, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -32,7 +32,14 @@ from dsfmin import (
 from dsfmin import minreal, ratcore
 from dsfmin.errors import ComplexPolesUnsupported, RepeatedPole, ShapeMismatch
 
-from conftest import ZERO, ex1_dsf_closed_form, random_dsf, random_partition, rmat
+from conftest import (
+    ZERO,
+    ex1_dsf_closed_form,
+    random_dsf,
+    random_partition,
+    random_pole_residue,
+    rmat,
+)
 
 
 class TestComputeDsf:
@@ -255,6 +262,12 @@ def _relay_blocks():
     return module.relay_blocks
 
 
+def _modes_dsf(rng, p, m, l):
+    """``DSF.from_modes`` of a ``random_pole_residue`` draw."""
+    poles, KQ, KP = random_pole_residue(rng, p, m, l)
+    return DSF.from_modes(poles, np.concatenate([KQ, KP], axis=2))
+
+
 def _partition(A, B, p):
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     return PartitionedRealization(A[:p, :p], A[:p, p:], A[p:, :p], A[p:, p:], B[:p], B[p:])
@@ -376,6 +389,7 @@ class TestRowRealization:
             b = relay_blocks(rng, *size, 2)
             dsfs.append(compute_dsf(
                 PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)))
+        dsfs += [_modes_dsf(rng, 4, 2, l) for l in (2, 8, 14, 19) for _ in range(4)]
         for d in dsfs:
             assert d.poles == rmat_poles(d.qp(), d.tol_pole)
 
@@ -404,8 +418,12 @@ class TestCarriedRowData:
     def test_residues_agree_with_residue_at(self, ex1_partition):
         # the symbolic path, residue_at on the rational entries, is the reference
         parts = [ex1_partition, *self.relay_parts(np.random.default_rng(31), 20)]
-        for part in parts:
-            d = compute_dsf(part)
+        # residue_at's own rounding grows with the degree of an entry: about
+        # 1e-9 at l = 8, so the pole-residue draws stop at l = 6
+        rng = np.random.default_rng(29)
+        dsfs = [*map(compute_dsf, parts),
+                *(_modes_dsf(rng, 4, 2, l) for l in (2, 4, 6) for _ in range(4))]
+        for d in dsfs:
             assert d.residues.shape == (len(d.poles), d.p, d.p + d.m)
             qp = d.qp()
             for lam, K in zip(d.poles, d.residues):
@@ -437,6 +455,19 @@ class TestCarriedRowData:
         A[0, 2] = A[0, 3] = 1.0
         with pytest.raises(RepeatedPole):
             compute_dsf(_partition(A, [[0.], [1.], [1.], [1.]], 2))
+
+    def test_rational_entry_with_two_poles_in_one_chained_pole_is_repeated(self):
+        # P[0][0] has poles -1 and -1 - 1.8e-6, apart at tol_pole 1e-6; the
+        # poles of P[1][0] and P[2][0] chain them into one pole of [Q P]
+        poles = [-1.0, -1.0 - 0.9e-6, -1.0 - 1.7e-6, -1.0 - 1.8e-6]
+        K = np.zeros((4, 3, 1))
+        K[[0, 1, 2, 3], [0, 1, 2, 0], 0] = [1.0, 1.0, 1.0, 2.0]
+        Q = from_pole_residue(PoleResidueForm(poles, np.zeros((4, 3, 3)), np.zeros((3, 3))))
+        P = from_pole_residue(PoleResidueForm(poles, K, np.zeros((3, 1))))
+        with pytest.raises(RepeatedPole, match=r"P\[0\]\[0\]"):
+            DSF(Q, P)
+        with pytest.raises(RepeatedPole, match=r"P\[0\]\[0\]"):
+            DSF.from_modes(poles, np.concatenate([np.zeros((4, 3, 3)), K], axis=2))
 
     def test_close_poles_judged_as_pole_residue_input(self):
         # poles -1 and -1 + 5e-7 in different entries merge into one pole of
