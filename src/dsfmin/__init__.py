@@ -41,7 +41,6 @@ from .ratcore import (
     from_pole_residue,
     limit_at_infinity,
     poly_mul,
-    poly_real_roots,
     rat_reduce,
     residue_at,
     rmat_equal,

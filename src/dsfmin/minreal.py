@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsf import DSF, consistency_check, structure_limits
+from .dsf import DSF, consistency_check
 from .errors import (
     ConflictingAssignment,
     PoleAtZeroWithoutShift,
@@ -37,8 +37,6 @@ from .sslib import (
 TOL_ORTH = 1e-8
 TOL_CANCEL = 1e-8
 FREE_VALUE = -1.0
-
-EDGE_RULES = ("support-disjoint", "orthogonal")
 
 
 @dataclass
@@ -70,7 +68,6 @@ class CompatGraph:
 
     n: int
     edges: list  # sorted (i, j) tuples with i < j
-    rule: str
 
     def adjacency(self):
         adj = [set() for _ in range(self.n)]
@@ -113,12 +110,12 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     poles so that the origin factor does not swallow the pole.  Since
     [Q P] is strictly proper, the residue of the shifted matrix at lam
     is (lam - a) times that of [Q P], and its value at infinity is
-    lim s[Q P] whatever a is.  The poles are ``d.poles`` and every pole
-    decision uses ``d.tol_pole``.  The residues are ``d.residues`` when d
-    was built by ``DSF.from_modes`` (``compute_dsf`` and ``dsf_pole_residue``
-    files), else ``residue_at`` evaluates each from the rational entries.
-    Each residue must have rank 1; the repeated-pole generalization where
-    residues gain rank is not implemented.
+    lim s[Q P] whatever a is: with simple poles, the sum of the residues.
+    The poles are ``d.poles`` and every pole decision uses ``d.tol_pole``.
+    The residues are ``d.residues`` when d was built by ``DSF.from_modes``
+    (``compute_dsf``, ``dsf_pole_residue`` files), else ``residue_at``
+    evaluates each from the rational entries.  Each must have rank 1; the
+    repeated-pole generalization where residues gain rank is not implemented.
     """
     tol_pole = d.tol_pole
     max_mag = max((abs(x) for x in d.poles), default=0.0)
@@ -134,9 +131,10 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     poles = d.poles[::-1]
     if d.residues is None:
         qp = d.qp()
-        residues = (residue_at(qp, lam, tol_pole) for lam in poles)
+        residues = [residue_at(qp, lam, tol_pole) for lam in poles]
     else:
         residues = d.residues[::-1]
+    D1 = sum(residues, np.zeros((d.p, d.p + d.m)))
     E_list, F_list = [], []
     for lam, K in zip(poles, residues):
         K = (lam - a) * K
@@ -152,8 +150,6 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
         Frow = (Evec @ K) / float(Evec @ Evec)
         E_list.append(Evec)
         F_list.append(Frow)
-    lim = structure_limits(d)
-    D1 = np.hstack([lim.A11_offdiag, lim.B1])
     return GilbertData(poles, E_list, F_list, D1, a, d.p, d.m)
 
 
@@ -162,32 +158,17 @@ def _support(E: np.ndarray, tol_orth: float) -> frozenset:
     return frozenset(np.flatnonzero(np.abs(E) > tol_orth * scale).tolist())
 
 
-def compatibility_graph(g: GilbertData, rule: str = "support-disjoint",
-                        tol_orth: float = TOL_ORTH) -> CompatGraph:
+def compatibility_graph(g: GilbertData, tol_orth: float = TOL_ORTH) -> CompatGraph:
     """Graph whose edges join residue vectors that can cancel together.
 
-    rule="support-disjoint", the rule of the search, joins i, j when the
-    nonzero patterns of E_i and E_j do not overlap: R is diagonal, so
-    exactly then can one R remove both poles.  rule="orthogonal" (E_i^T
-    E_j = 0 within tolerance) also joins overlapping supports, which
-    construct_rstar rejects; it is kept for comparison only.
+    i and j are joined when the supports of E_i and E_j (components above
+    tol_orth times the vector's largest) do not overlap: R is diagonal,
+    so exactly then can one R remove both poles.
     """
-    if rule not in EDGE_RULES:
-        raise ValueError(f"unknown edge rule {rule!r}; expected one of {EDGE_RULES}")
-    edges = []
-    if rule == "support-disjoint":
-        supports = [_support(E, tol_orth) for E in g.E]
-        for i in range(g.l):
-            for j in range(i + 1, g.l):
-                if not (supports[i] & supports[j]):
-                    edges.append((i, j))
-    else:
-        for i in range(g.l):
-            for j in range(i + 1, g.l):
-                bound = tol_orth * np.linalg.norm(g.E[i]) * np.linalg.norm(g.E[j])
-                if abs(float(g.E[i] @ g.E[j])) <= bound:
-                    edges.append((i, j))
-    return CompatGraph(g.l, edges, rule)
+    supports = [_support(E, tol_orth) for E in g.E]
+    edges = [(i, j) for i in range(g.l) for j in range(i + 1, g.l)
+             if not (supports[i] & supports[j])]
+    return CompatGraph(g.l, edges)
 
 
 def _bron_kerbosch(adj, r, p, x, out):
@@ -242,8 +223,8 @@ def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar
 
     Every nonzero component of E_i pins the matching diagonal entry to
     lam_i; positions untouched by the clique stay free.  Overlapping
-    supports inside the clique (possible only for a clique of the
-    orthogonal graph) demand two values at once and raise
+    supports inside the clique (a set of poles that is not a clique of
+    ``compatibility_graph``) demand two values at once and raise
     ConflictingAssignment.
     """
     entries = [None] * g.p

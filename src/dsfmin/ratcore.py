@@ -3,12 +3,9 @@
 Coefficients are double-precision reals in ascending degree order
 (``coeffs[k]`` multiplies ``s**k``).  Rational functions are kept reduced
 (no common numerator/denominator roots) with a monic denominator.  Root
-finding goes through the companion matrix of the monic polynomial.
-``poly_real_roots`` then Newton-polishes each simple real root on the
-input coefficients, so its error is about ``kappa * eps``, with ``kappa``
-the root's coefficient condition number.  A root of multiplicity ``k`` is
-resolved only to about ``eps**(1/k)``; its copies are merged by
-``tol_root`` and left unpolished.
+finding goes through the companion matrix of the monic polynomial
+(``Polynomial.roots``, the one root finder), and
+``RationalFunction.poles()`` keeps each entry's denominator roots.
 
 ``from_pole_residue`` needs no root finding and no cancellation: poles
 given more than once are merged exactly (their residues summed), and
@@ -25,8 +22,6 @@ Default tolerances; every operation that needs one accepts an override:
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -48,10 +43,6 @@ TOL_EVAL = 1e-8
 
 # relative floor below which trailing coefficients count as arithmetic noise
 _CHOP_REL = 1e-12
-
-# Newton steps that polish a simple real root; from a companion eigenvalue
-# two or three reach the noise floor of evaluating the polynomial
-_NEWTON_STEPS = 4
 
 
 class Polynomial:
@@ -104,9 +95,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(npoly.polyder(self.coeffs))
-
     def chop(self, rel: float = _CHOP_REL) -> "Polynomial":
         """Drop trailing coefficients that are tiny relative to the largest."""
         scale = np.max(np.abs(self.coeffs))
@@ -133,46 +121,9 @@ class Polynomial:
 S_POLY = Polynomial([0.0, 1.0])
 
 
-class RootSet(NamedTuple):
-    real: list  # (root, multiplicity) pairs, ascending
-    cplx: list  # complex roots, unpaired
-
-
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Product of two polynomials."""
     return a * b
-
-
-def poly_real_roots(p: Polynomial, tol_root: float = TOL_ROOT) -> RootSet:
-    """Split the roots of ``p`` into real (with multiplicities) and complex.
-
-    A root counts as real when its imaginary part is at most ``tol_root``;
-    real roots closer than ``tol_root`` are merged into one root with the
-    corresponding multiplicity.
-
-    Each simple real root (multiplicity 1) is polished by Newton steps on
-    ``p``'s own coefficients, so its error is about ``kappa * eps`` with
-    ``kappa = sum_j |c_j| |r|**j / |p'(r)|``; raw companion eigenvalues
-    can miss by several times that.  A step is kept only if it lowers
-    ``|p|`` and stays within half the gap to the nearest other root, so
-    polishing neither merges nor reorders roots.  A root of multiplicity
-    ``k`` is resolved only to about ``eps**(1/k)``, which is why its
-    copies need ``tol_root`` to merge; such clusters keep their mean.
-    """
-    r = p.roots()
-    clusters = chain_clusters(r[np.abs(r.imag) <= tol_root].real, tol_root)
-    cplx = [complex(z) for z in r[np.abs(r.imag) > tol_root]]
-    centres = np.array([np.mean(c) for c in clusters])
-    neighbours = np.concatenate([centres, np.asarray(cplx, dtype=complex)])
-    dp = p.derivative()
-    real_roots = []
-    for i, c in enumerate(clusters):
-        x = float(centres[i])
-        if len(c) == 1:
-            gap = np.min(np.abs(np.delete(neighbours, i) - x), initial=np.inf)
-            x = _newton_polish(p, dp, x, 0.5 * gap)
-        real_roots.append((x, len(c)))
-    return RootSet(real_roots, cplx)
 
 
 def chain_clusters(x, tol: float) -> list:
@@ -183,26 +134,6 @@ def chain_clusters(x, tol: float) -> list:
     """
     x = np.sort(np.asarray(x, dtype=float))
     return np.split(x, np.flatnonzero(np.diff(x) > tol) + 1) if x.size else []
-
-
-def _newton_polish(p: Polynomial, dp: Polynomial, x: float, reach: float) -> float:
-    """Refine the simple real root ``x`` of ``p`` by Newton steps.
-
-    A step is kept only if it lowers ``|p|`` and leaves ``x`` less than
-    ``reach`` from where it started, so a root cannot cross or meet a
-    neighbour whose own reach is half the same gap.
-    """
-    x0, px = x, p(x)
-    for _ in range(_NEWTON_STEPS):
-        slope = dp(x)
-        if slope == 0.0:
-            break
-        xn = x - px / slope
-        pn = p(xn)
-        if not (abs(pn) < abs(px) and abs(xn - x0) < reach):
-            break
-        x, px = xn, pn
-    return float(x)
 
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -564,22 +495,32 @@ def rmat_poles(M: RationalMatrix, tol_pole: float = TOL_POLE) -> list:
 
 
 def residue_at(M: RationalMatrix, lam: float, tol_pole: float = TOL_POLE) -> np.ndarray:
-    """Entrywise limit of (s - lam) * M(s) as s -> lam.
+    """Residue matrix of ``M`` at its pole ``lam``.
 
-    Zero where ``lam`` is not a pole of an entry; RepeatedPole when an
-    entry carries ``lam`` with multiplicity two or more.
+    The poles of ``M`` are its entries' real poles chained at ``tol_pole``,
+    as in ``rmat_poles``; ``lam`` names the chain it lies in or within
+    ``tol_pole`` of.  Each entry gives its residue at its own pole in that
+    chain, however far from ``lam``: zero if none, RepeatedPole if two.
     """
+    den_roots = _all_den_roots(M)
+    roots = np.concatenate([np.zeros(0), *(r for _, _, r in den_roots)])
+    real = roots.real[np.abs(roots.imag) <= tol_pole]
+    chain = next((c for c in chain_clusters(real, tol_pole)
+                  if c[0] - tol_pole <= lam <= c[-1] + tol_pole), [lam])
+    # poles outside the chain (all poles, if none holds lam) lie more than
+    # tol_pole beyond its ends
+    centre, reach = 0.5 * (chain[-1] + chain[0]), 0.5 * (chain[-1] - chain[0]) + tol_pole
     K = np.zeros((M.rows, M.cols))
-    for i, j, r in _all_den_roots(M):
+    for i, j, r in den_roots:
         if not r.size:
             continue
-        near = np.abs(r - lam) <= tol_pole
+        near = np.abs(r - centre) <= reach
         count = int(np.sum(near))
         if count == 0:
             continue
         if count > 1:
             raise RepeatedPole(
-                f"entry ({i}, {j}) has a pole of multiplicity {count} near {lam}")
+                f"entry ({i}, {j}) has {count} poles in the pole of M near {lam}")
         # the denominator is monic, so its derivative at a simple root is
         # the product of the distances to the other roots
         root = float(r[near][0].real)

@@ -164,7 +164,7 @@ def test_criterion_09_clique_oracle():
             density = (0.2, 0.5, 0.8)[trial % 3]
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < density]
-            cg = CompatGraph(n, edges, "support-disjoint")
+            cg = CompatGraph(n, edges)
             assert maximum_cliques(cg).phi == brute_force_phi(n, edges)
 
 

@@ -237,18 +237,20 @@ class TestMinrealCommand:
 
     def test_fourteen_pole_draws_are_consistent(self, tmp_path, capsys):
         # the exact residues of the file reach the search: none is lost to
-        # root finding on a degree-13 entry
-        rng = np.random.default_rng(2026)
-        path = tmp_path / "pr14.json"
-        for _ in range(30):
-            poles, KQ, KP = random_pole_residue(rng, 4, 2, 14)
-            path.write_text(json.dumps({"kind": "dsf_pole_residue", "poles": poles.tolist(),
-                                        "KQ": [K.tolist() for K in KQ],
-                                        "KP": [K.tolist() for K in KP]}))
-            assert parse_model(str(path)).dsf.residues is not None
-            assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 0
-            report = capsys.readouterr().out
-            assert "consistency: PASS" in report and "FAIL" not in report
+        # root finding on a degree-13 entry, and at l = 19 none of lim s[Q P]
+        # is lost with a leading numerator coefficient below the chop floor
+        for l in (14, 19):
+            rng = np.random.default_rng(2026)
+            path = tmp_path / f"pr{l}.json"
+            for _ in range(30):
+                poles, KQ, KP = random_pole_residue(rng, 4, 2, l)
+                path.write_text(json.dumps({"kind": "dsf_pole_residue", "poles": poles.tolist(),
+                                            "KQ": [K.tolist() for K in KQ],
+                                            "KP": [K.tolist() for K in KP]}))
+                assert parse_model(str(path)).dsf.residues is not None
+                assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 0
+                report = capsys.readouterr().out
+                assert "consistency: PASS" in report and "FAIL" not in report
 
     def test_missing_file_exits_3(self, capsys):
         assert main(["minreal", "/nonexistent/nowhere.json"]) == 3

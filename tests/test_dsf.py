@@ -423,6 +423,11 @@ class TestCarriedRowData:
         rng = np.random.default_rng(29)
         dsfs = [*map(compute_dsf, parts),
                 *(_modes_dsf(rng, 4, 2, l) for l in (2, 4, 6) for _ in range(4))]
+        # poles -1 - 0.9e-6 k, one per entry of a 4x1 P, chain into one pole
+        # of [Q P] 2.7e-6 wide: each entry's residue counts, the ends' too
+        chained = np.zeros((4, 4, 5))
+        chained[range(4), range(4), 4] = 1.0
+        dsfs.append(DSF.from_modes(-1.0 - 0.9e-6 * np.arange(4), chained))
         for d in dsfs:
             assert d.residues.shape == (len(d.poles), d.p, d.p + d.m)
             qp = d.qp()

@@ -115,8 +115,7 @@ class TestExtractModes:
 class TestCompatibilityGraph:
     def test_ex2_has_no_edges(self, ex2_dsf):
         g = extract_modes(ex2_dsf)
-        for rule in ("support-disjoint", "orthogonal"):
-            assert compatibility_graph(g, rule).edges == []
+        assert compatibility_graph(g).edges == []
 
     def test_ex1_has_eight_edges(self, ex1_partition):
         g = extract_modes(compute_dsf(ex1_partition))
@@ -129,11 +128,6 @@ class TestCompatibilityGraph:
     def test_single_node_graph_is_empty(self, single_pole_dsf):
         g = extract_modes(single_pole_dsf)
         assert compatibility_graph(g).edges == []
-
-    def test_rules_agree_on_sign_consistent_vectors(self, ex1_partition):
-        g = extract_modes(compute_dsf(ex1_partition))
-        assert compatibility_graph(g, "support-disjoint").edges == \
-            compatibility_graph(g, "orthogonal").edges
 
 
 class TestMaximumCliques:
@@ -152,8 +146,7 @@ class TestMaximumCliques:
         assert {-1, -2, -3} in pole_sets and {-1, -4, -5} in pole_sets
 
     def test_complete_graph(self):
-        cg = CompatGraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)],
-                         "support-disjoint")
+        cg = CompatGraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         assert maximum_cliques(cg).phi == 5
 
     def test_brute_force_oracle(self):
@@ -163,7 +156,7 @@ class TestMaximumCliques:
             density = [0.2, 0.5, 0.8][trial % 3]
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < density]
-            cg = CompatGraph(n, edges, "support-disjoint")
+            cg = CompatGraph(n, edges)
             assert maximum_cliques(cg).phi == brute_force_phi(n, edges)
 
 
@@ -192,15 +185,14 @@ class TestConstructRstar:
         r = construct_rstar(g, (0, 1, 2))
         assert r.entries == pytest.approx((-1.0, -2.0, -3.0))
 
-    def test_conflicting_assignment_under_orthogonal_rule(self):
-        # sign-cancelling overlap: orthogonal but not support-disjoint
+    def test_conflicting_assignment_outside_a_clique(self):
+        # orthogonal residue vectors with overlapping supports: no edge, and
+        # construct_rstar rejects the pair a caller hands it anyway
         g = GilbertData(poles=[-1.0, -2.0],
                         E=[np.array([1.0, 1.0]), np.array([1.0, -1.0])],
                         F=[np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])],
                         D1=np.zeros((2, 3)), shift=0.0, p=2, m=1)
-        cg = compatibility_graph(g, "orthogonal")
-        assert cg.edges == [(0, 1)]
-        assert compatibility_graph(g, "support-disjoint").edges == []
+        assert compatibility_graph(g).edges == []
         with pytest.raises(ConflictingAssignment):
             construct_rstar(g, (0, 1))
 

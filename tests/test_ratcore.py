@@ -12,7 +12,6 @@ from dsfmin import (
     from_pole_residue,
     limit_at_infinity,
     poly_mul,
-    poly_real_roots,
     rat_reduce,
     residue_at,
     rmat_equal,
@@ -35,24 +34,11 @@ from dsfmin.ratcore import S_POLY, from_known_poles
 
 from conftest import EX2_D1, ZERO, rf, rmat
 
-EPS = np.finfo(float).eps
-
 
 def _ex2_qp():
     return rmat([[ZERO, ([1], [2, 1]), ([1], [3, 1]), ([1], [4, 1])],
                  [([1], [1, 1]), ZERO, ([1], [3, 1]), ([1], [4, 1])],
                  [([1], [1, 1]), ([1], [2, 1]), ZERO, ([1], [4, 1])]])
-
-
-def _root_condition(coeffs, roots):
-    """Coefficient condition number of each simple root.
-
-    ``sum_j |c_j| |r|**j / |p'(r)|``: a relative change of ``eps`` in every
-    coefficient moves root ``r`` by up to about this times ``eps``.
-    """
-    npp = np.polynomial.polynomial
-    powers = np.abs(roots)[None, :] ** np.arange(len(coeffs))[:, None]
-    return np.abs(coeffs) @ powers / np.abs(npp.polyval(roots, npp.polyder(coeffs)))
 
 
 class TestPolyMul:
@@ -74,75 +60,10 @@ class TestPolyMul:
         assert poly_mul(a, b).degree() == a.degree() + b.degree()
 
 
-class TestPolyRealRoots:
-    def test_factored_quadratic(self):
-        roots = poly_real_roots(Polynomial([6, 5, 1]))
-        assert [r for r, _ in roots.real] == pytest.approx([-3, -2])
-        assert roots.cplx == []
-
-    def test_no_real_roots(self):
-        roots = poly_real_roots(Polynomial([1, 0, 1]))
-        assert roots.real == []
-        assert sorted(z.imag for z in roots.cplx) == pytest.approx([-1, 1])
-
-    def test_construct_from_roots_oracle(self):
-        rng = np.random.default_rng(42)
-        true = np.sort(rng.uniform(-10, -1, 6))
-        while np.min(np.diff(true)) < 0.2:
-            true = np.sort(rng.uniform(-10, -1, 6))
-        p = Polynomial(np.polynomial.polynomial.polyfromroots(true))
-        got = [r for r, _ in poly_real_roots(p).real]
-        assert np.allclose(got, true, atol=1e-8)
-
-    def test_multiplicity_detected(self):
-        p = Polynomial(np.polynomial.polynomial.polyfromroots([-2.0, -2.0]))
-        roots = poly_real_roots(p, tol_root=1e-6)
-        assert roots.real == [pytest.approx((-2.0, 2))]
-
+class TestPolynomialRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            poly_real_roots(Polynomial([0.0]))
-
-    def test_roundtrip_well_separated(self):
-        # degree up to 12, pairwise spacing at least 0.1
-        rng = np.random.default_rng(7)
-        for deg in (4, 8, 12):
-            roots = np.sort(rng.uniform(-10, -1, deg))
-            while deg > 1 and np.min(np.diff(roots)) < 0.1:
-                roots = np.sort(rng.uniform(-10, -1, deg))
-            p = Polynomial(np.polynomial.polynomial.polyfromroots(roots))
-            got = []
-            for r, k in poly_real_roots(p).real:
-                got.extend([r] * k)
-            # The rounded coefficients only determine root r_k to about
-            # kappa_k * eps: at degree 12 their exact roots (a 60-digit
-            # mpmath solve) already sit 2.83e-6 from the intended ones, so
-            # no root finder can meet 1e-8 there.  Raw companion
-            # eigenvalues miss by 5.3 times this bound; Newton-polished
-            # roots stay within 0.27 of it.
-            bound = 1e-8 + _root_condition(p.coeffs, roots) * EPS
-            assert len(got) == deg
-            assert np.all(np.abs(np.sort(got) - roots) <= bound)
-
-    def test_close_simple_roots_stay_apart(self):
-        # two simple roots 1e-7 apart, well above tol_root: polishing must
-        # neither merge them nor swap them; the bound is below half their gap
-        true = np.array([-3.0, -1.0, -1.0 + 1e-7])
-        p = Polynomial(np.polynomial.polynomial.polyfromroots(true))
-        roots = poly_real_roots(p, tol_root=1e-8)
-        assert roots.cplx == []
-        assert [k for _, k in roots.real] == [1, 1, 1]
-        got = np.array([r for r, _ in roots.real])
-        bound = 1e-8 + _root_condition(p.coeffs, true) * EPS
-        assert np.all(bound[1:] < 0.5e-7)
-        assert np.all(np.abs(got - true) <= bound)
-        # degree 18, seed 16: some companion eigenvalues are off by more
-        # than half the gap, and unbounded Newton steps carry one root past
-        # its neighbour; the reach cap keeps RootSet.real ascending
-        true = np.sort(np.random.default_rng(16).uniform(-10, -1, 18))
-        p = Polynomial(np.polynomial.polynomial.polyfromroots(true))
-        got = [r for r, _ in poly_real_roots(p).real]
-        assert np.all(np.diff(got) > 0)
+            Polynomial([0.0]).roots()
 
 
 class TestRatReduce:
