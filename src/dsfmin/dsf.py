@@ -12,9 +12,11 @@ transfer of a row system with 1 + h states; an orthogonal staircase
 (``sslib.kalman_reduce``) reduces it to the modes the row sees, an
 eigendecomposition gives their poles and residues, and residues at or
 below TOL_RANK times the row's largest (each relative to its input
-column's norm) count as zero.  ``DSF.from_modes`` builds [Q P] from them,
-as from a ``dsf_pole_residue`` file, and keeps them, so the minimal-order
-search finds no root and evaluates no residue of a rational entry.
+column's norm) count as zero.  ``DSF.from_modes`` keeps them, as it keeps
+those of a ``dsf_pole_residue`` file, so the minimal-order search finds
+no root and evaluates no residue of a rational entry.  It builds no
+rational entry either: ``Q`` and ``P`` of such a structure function are
+built on first read (JSON output, ``boolean_structure``) and then kept.
 ``DSF`` judges repeated poles by one rule for every input: no entry may
 have two poles in one pole of [Q P], the entries' poles chained at
 ``tol_pole``.
@@ -22,8 +24,7 @@ have two poles in one pole of [Q P], the entries' poles chained at
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +43,13 @@ from .ratcore import (
     from_known_poles,
     merge_poles,
     off_pole_points,
+    to_pole_residue,
 )
 from .sslib import (
     TOL_RANK,
     PartitionedRealization,
     column_norms,
-    gilbert_realization,
+    gilbert_from_pole_residue,
     kalman_reduce,
     transfer_from_blocks,
 )
@@ -60,83 +62,124 @@ def _cluster_of(x, clusters) -> np.ndarray:
     return np.searchsorted([c[0] for c in clusters], x, side="right") - 1
 
 
-@dataclass
+def _entry_name(k: int, p: int, m: int) -> str:
+    """Name of entry k of [Q P], counted row by row through Q, then through P."""
+    if k < p * p:
+        return f"Q[{k // p}][{k % p}]"
+    i, j = divmod(k - p * p, m)
+    return f"P[{i}][{j}]"
+
+
+def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: float) -> list:
+    """The one rule on the entries of [Q P]; returns the poles of [Q P].
+
+    Entry k is named by ``_entry_name``; ``zero[k]`` and ``improper[k]``
+    say whether it is identically zero and whether it is not strictly
+    proper.  ``roots`` holds the poles of every entry and ``owner`` the
+    entry each belongs to.  Q's diagonal must be zero, every entry
+    strictly proper and every pole real, and no entry may have two poles
+    that chain, at ``tol_pole`` over the poles of all entries, into one
+    pole of [Q P].  The poles of [Q P] are those chains, one mean each,
+    ascending.
+    """
+    diag = np.arange(p) * (p + 1)
+    nonzero = diag[~zero[diag]]
+    if nonzero.size:
+        raise ValueError(f"{_entry_name(int(nonzero[0]), p, m)} must be identically zero")
+    if improper.any():
+        raise ValueError(f"{_entry_name(int(np.argmax(improper)), p, m)} is not strictly proper")
+    complex_ = np.abs(roots.imag) > tol_pole
+    if complex_.any():
+        raise ComplexPolesUnsupported(f"{_entry_name(int(owner[np.argmax(complex_)]), p, m)} "
+                                      "has complex poles; only real poles are supported")
+    clusters = chain_clusters(roots.real, tol_pole)
+    hits = np.sort(owner * len(clusters) + _cluster_of(roots.real, clusters))
+    twice = hits[1:][np.diff(hits) == 0]
+    if twice.size:
+        raise RepeatedPole(f"{_entry_name(int(twice[0]) // len(clusters), p, m)} has two "
+                           "poles that chain into one pole of [Q P]")
+    return [float(np.mean(c)) for c in clusters]
+
+
 class DSF:
     """Dynamical structure function [Q, P] with validated invariants.
 
     ``poles`` holds the distinct poles of [Q P], ascending: the entries'
     poles chained at ``tol_pole`` by ``chain_clusters``, one mean each.
     Each entry's poles must be real, and no two of them may chain into one
-    pole of [Q P]: the one repeated-pole rule.  ``from_modes`` sets
-    ``modes`` and ``residues``; they are None for rational entries, whose
-    residues ``residue_at`` evaluates.  ``modes`` is a pair (lam, R) with
-    [Q P] = sum_n R_n / (s - lam_n): the entries' distinct poles, unchained,
-    and their n x p x (p+m) residues.  ``residues`` holds the residue
-    matrices K_k of [Q P] at ``poles``, l x p x (p+m): K_k sums the R_n
-    whose lam_n chain into pole k.
+    pole of [Q P]: the one repeated-pole rule, ``_validated_poles``.
+    ``from_modes`` sets ``modes`` and ``residues``; they are None for
+    rational entries, whose residues ``residue_at`` evaluates.  ``modes``
+    is a pair (lam, R) with [Q P] = sum_n R_n / (s - lam_n): the entries'
+    distinct poles, unchained, and their n x p x (p+m) residues.
+    ``residues`` holds the residue matrices K_k of [Q P] at ``poles``,
+    l x p x (p+m): K_k sums the R_n whose lam_n chain into pole k.  The
+    rational entries ``Q`` and ``P`` of a ``from_modes`` structure
+    function are built from ``modes`` on first read and then kept.
     """
 
-    Q: RationalMatrix
-    P: RationalMatrix
-    tol_pole: float = TOL_POLE
-    poles: list = field(init=False, repr=False, compare=False)
-    modes: tuple = field(init=False, default=None, repr=False, compare=False)
-    residues: np.ndarray = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.Q.rows != self.Q.cols:
+    def __init__(self, Q: RationalMatrix, P: RationalMatrix, tol_pole: float = TOL_POLE):
+        if Q.rows != Q.cols:
             raise ShapeMismatch("Q must be square")
-        if self.P.rows != self.Q.rows:
+        if P.rows != Q.rows:
             raise ShapeMismatch("P must have as many rows as Q")
-        for i in range(self.Q.rows):
-            if not self.Q.entries[i][i].is_zero:
-                raise ValueError(f"Q[{i}][{i}] must be identically zero")
-        roots, owner = [], []
-        for label, M in (("Q", self.Q), ("P", self.P)):
-            for i, row in enumerate(M.entries):
-                for j, e in enumerate(row):
-                    if not e.is_strictly_proper:
-                        raise ValueError(f"{label}[{i}][{j}] is not strictly proper")
-                    roots.append(e.poles())
-                    owner += [f"{label}[{i}][{j}]"] * roots[-1].size
-        roots = np.concatenate(roots)
-        complex_ = np.abs(roots.imag) > self.tol_pole
-        if complex_.any():
-            raise ComplexPolesUnsupported(f"{owner[np.argmax(complex_)]} has complex "
-                                          "poles; only real poles are supported")
-        clusters = chain_clusters(roots.real, self.tol_pole)
-        hits = Counter(zip(owner, _cluster_of(roots.real, clusters).tolist()))
-        twice = [name for (name, _), n in hits.items() if n > 1]
-        if twice:
-            raise RepeatedPole(f"{twice[0]} has two poles that chain into one pole of [Q P]")
-        self.poles = [float(np.mean(c)) for c in clusters]
+        self._Q, self._P = Q, P
+        self.p, self.m, self.tol_pole = Q.rows, P.cols, tol_pole
+        self.modes = self.residues = None
+        entries = [e for M in (Q, P) for row in M.entries for e in row]
+        roots = [e.poles() for e in entries]
+        self.poles = _validated_poles(
+            self.p, self.m, np.array([e.is_zero for e in entries]),
+            np.array([not e.is_strictly_proper for e in entries]), np.concatenate(roots),
+            np.repeat(np.arange(len(roots)), [r.size for r in roots]), tol_pole)
 
     @classmethod
     def from_modes(cls, lam, R, tol_pole: float = TOL_POLE) -> "DSF":
         """[Q P] = sum_n R_n / (s - lam_n), with R n x p x (p+m).
 
         ``merge_poles`` sums and floors the residues as ``from_known_poles``
-        does, so ``modes`` holds exactly the poles the entries keep.
+        does, so ``modes`` holds exactly the poles the entries keep: entry
+        (i, j) has as poles the lam_n with R_n[i, j] != 0, which the one
+        rule of ``DSF`` judges.  No rational entry is built here; ``Q`` and
+        ``P`` come from one ``from_known_poles`` call on first read.
         """
         lam, R = merge_poles(np.asarray(lam, dtype=float), np.asarray(R, dtype=float))
         kept = np.any(R != 0.0, axis=(1, 2))
         lam, R = lam[kept], R[kept]
-        p = R.shape[1]
-        QP = from_known_poles(PoleResidueForm(lam, R, np.zeros(R.shape[1:]))).entries
-        d = cls(RationalMatrix([row[:p] for row in QP]),
-                RationalMatrix([row[p:] for row in QP]), tol_pole)
+        d = cls.__new__(cls)  # __init__ validates rational entries, which wait here
+        d._Q = d._P = None
+        n, p, cols = R.shape
+        d.p, d.m, d.tol_pole = p, cols - p, tol_pole
         d.modes = (lam, R)
-        d.residues = np.zeros((len(d.poles), *R.shape[1:]))
+        support = R != 0.0
+        # one column per entry, Q's row by row and then P's, as _entry_name counts them
+        support = np.hstack([support[:, :, :p].reshape(n, p * p),
+                             support[:, :, p:].reshape(n, p * d.m)])
+        owner, mode = np.nonzero(support.T)
+        d.poles = _validated_poles(p, d.m, ~support.any(axis=0),
+                                   np.zeros(support.shape[1], dtype=bool), lam[mode],
+                                   owner, tol_pole)
+        d.residues = np.zeros((len(d.poles), p, cols))
         np.add.at(d.residues, _cluster_of(lam, chain_clusters(lam, tol_pole)), R)
         return d
 
-    @property
-    def p(self) -> int:
-        return self.Q.rows
+    def _build_entries(self):
+        lam, R = self.modes
+        QP = from_known_poles(PoleResidueForm(lam, R, np.zeros(R.shape[1:]))).entries
+        self._Q = RationalMatrix([row[:self.p] for row in QP])
+        self._P = RationalMatrix([row[self.p:] for row in QP])
 
     @property
-    def m(self) -> int:
-        return self.P.cols
+    def Q(self) -> RationalMatrix:
+        if self._Q is None:
+            self._build_entries()
+        return self._Q
+
+    @property
+    def P(self) -> RationalMatrix:
+        if self._P is None:
+            self._build_entries()
+        return self._P
 
     def qp(self) -> RationalMatrix:
         """The p x (p+m) block row [Q P]."""
@@ -224,9 +267,15 @@ def dsf_to_transfer(d: DSF) -> RationalMatrix:
     With a minimal realization [Q P] = C (sI - A)^(-1) [By Bu], the
     relation Y = Q Y + P U gives G = C (sI - A - By C)^(-1) Bu.  Closing
     the realization through the output avoids the repeated-factor blowup
-    of a symbolic adjugate inversion.
+    of a symbolic adjugate inversion.  The realization is Gilbert's, from
+    ``d.poles`` and ``d.residues`` when d carries them, else from the
+    poles and residues of the rational entries.
     """
-    qp_ss = gilbert_realization(d.qp(), d.tol_pole)
+    if d.residues is None:
+        prf = to_pole_residue(d.qp(), d.tol_pole)
+    else:
+        prf = PoleResidueForm(d.poles, d.residues, np.zeros((d.p, d.p + d.m)))
+    qp_ss = gilbert_from_pole_residue(prf)
     Acl = qp_ss.A + qp_ss.B[:, :d.p] @ qp_ss.C
     if not np.isfinite(Acl).all():
         raise SingularIminusQ("det(I - Q) is identically zero")
@@ -252,9 +301,15 @@ def structure_limits(d: DSF) -> StructureLimits:
 
     These recover the off-diagonal of A11 and the B1 block of any
     realization consistent with the structure function; the diagonal
-    of lim s*Q is zero because Q's diagonal is.
+    of lim s*Q is zero because Q's diagonal is.  With simple poles
+    lim s*[Q P] is the sum of the residues, read from ``d.residues``
+    when d carries them; for rational entries it is the ratio of the
+    leading coefficients of each entry of relative degree one.
     """
-    return StructureLimits(_limit_s_times(d.Q), _limit_s_times(d.P))
+    if d.residues is None:
+        return StructureLimits(_limit_s_times(d.Q), _limit_s_times(d.P))
+    lim = d.residues.sum(axis=0)
+    return StructureLimits(lim[:, :d.p], lim[:, d.p:])
 
 
 def boolean_structure(d: DSF, tol_struct: float = TOL_STRUCT) -> BooleanStructure:

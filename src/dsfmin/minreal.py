@@ -334,21 +334,23 @@ def _zero_point_tests(g: GilbertData, flags, full: PartitionedRealization, tol_r
     pole persists as an unobservable mode: the V-subsystem
     (A22, B2, A12, B1) and the assembled system lose Rosenbrock rank
     together exactly at the cancelled poles.  Each system's normal rank
-    is computed once and shared by all of its points.
+    comes from one stacked solve and one stacked singular value
+    decomposition at eight points beyond its spectrum, and its
+    Rosenbrock ranks at all the test points from one more stacked
+    decomposition.
     """
     points = [(lam, True) for lam, flag in zip(g.poles, flags) if flag]
     if g.l >= 2:
         points.append((0.5 * (g.poles[0] + g.poles[1]), False))
     if not points:
         return []
-    systems = [StateSpace(full.A22, full.B2, full.A12, full.B1), full.assemble()]
-    ranks = [_transfer_normal_rank(ss, tol_rank) for ss in systems]
-    checks = []
-    for point, expected in points:
-        v_zero, g_zero = (_rosenbrock_rank_drops(ss, point, nr, tol_rank)
-                          for ss, nr in zip(systems, ranks))
-        checks.append(ZeroMatch(point, v_zero, g_zero, expected))
-    return checks
+    at = [point for point, _ in points]
+    v_zero, g_zero = (_rosenbrock_rank_drops(ss, at, _transfer_normal_rank(ss, tol_rank),
+                                             tol_rank)
+                      for ss in (StateSpace(full.A22, full.B2, full.A12, full.B1),
+                                 full.assemble()))
+    return [ZeroMatch(point, bool(v), bool(z), expected)
+            for (point, expected), v, z in zip(points, v_zero, g_zero)]
 
 
 def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = TOL_RANK,

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import RankDeficientC, ShapeMismatch
 from .ratcore import (
     TOL_POLE,
+    PoleResidueForm,
     Polynomial,
     RationalMatrix,
     _raw_ratfun,
@@ -294,16 +295,14 @@ def rank_factorization(K: np.ndarray, tol_rank: float = TOL_RANK):
     return E, F, r
 
 
-def gilbert_realization(M: RationalMatrix, tol_pole: float = TOL_POLE,
-                        tol_rank: float = TOL_RANK) -> StateSpace:
-    """Minimal realization of a proper matrix with real simple poles.
+def gilbert_from_pole_residue(prf: PoleResidueForm, tol_rank: float = TOL_RANK) -> StateSpace:
+    """Minimal realization of sum_i K_i / (s - lam_i) + D, poles distinct.
 
     A is diagonal with each pole repeated rank(K_i) times; B and C stack
     the rank factorizations K_i = E_i F_i of the residue matrices; D is
-    the value at infinity.  A constant matrix has no dynamics; since a
-    zero-state system cannot be represented, it gets one decoupled state.
+    the constant.  A constant matrix has no dynamics; since a zero-state
+    system cannot be represented, it gets one decoupled state.
     """
-    prf = to_pole_residue(M, tol_pole)
     p, m = prf.shape
     factors = [rank_factorization(K, tol_rank) for K in prf.residues]
     ranks = [r for _, _, r in factors]
@@ -314,6 +313,16 @@ def gilbert_realization(M: RationalMatrix, tol_pole: float = TOL_POLE,
     return StateSpace(np.diag(np.repeat(prf.poles, ranks)),
                       np.vstack([F for _, F, _ in factors]),
                       np.hstack([E for E, _, _ in factors]), prf.constant)
+
+
+def gilbert_realization(M: RationalMatrix, tol_pole: float = TOL_POLE,
+                        tol_rank: float = TOL_RANK) -> StateSpace:
+    """Minimal realization of a proper matrix with real simple poles.
+
+    ``gilbert_from_pole_residue`` of the matrix's poles, residues and
+    value at infinity.
+    """
+    return gilbert_from_pole_residue(to_pole_residue(M, tol_pole), tol_rank)
 
 
 def mcmillan_degree(M: RationalMatrix, tol_pole: float = TOL_POLE,
@@ -331,30 +340,42 @@ def normal_rank(M: RationalMatrix, points=None, tol_rank: float = TOL_RANK) -> i
     return max(_matrix_rank(rmat_eval(M, s), tol_rank) for s in points)
 
 
-def _eval_transfer(ss: StateSpace, s):
-    """Numeric value of C (sI - A)^(-1) B + D at one point."""
-    n = ss.n
-    return ss.C @ np.linalg.solve(s * np.eye(n) - ss.A, ss.B) + ss.D
-
-
 def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
-    """Normal rank of G(s), the largest rank at eight points beyond the spectrum."""
-    return max(_matrix_rank(_eval_transfer(ss, s), tol_rank)
-               for s in off_pole_points(np.linalg.eigvals(ss.A), 8))
+    """Normal rank of G(s), the largest rank at eight points beyond the spectrum.
+
+    G is evaluated at all eight points by one stacked solve, and their
+    ranks come from one stacked singular value decomposition.
+    """
+    s = np.asarray(off_pole_points(np.linalg.eigvals(ss.A), 8))
+    pencil = s[:, None, None] * np.eye(ss.n) - ss.A
+    G = ss.C @ np.linalg.solve(pencil, np.broadcast_to(ss.B, (s.size, *ss.B.shape))) + ss.D
+    return max(_rank(sv, tol_rank) for sv in np.linalg.svd(G, compute_uv=False))
 
 
-def _rosenbrock_rank_drops(ss: StateSpace, s0, normal_rank_g: int, tol_rank: float) -> bool:
-    """True iff rank [[A - s0 I, B], [C, D]] < n + normal_rank_g."""
+def _rosenbrock_rank_drops(ss: StateSpace, points, normal_rank_g: int,
+                           tol_rank: float) -> np.ndarray:
+    """Per point s0: rank [[A - s0 I, B], [C, D]] < n + normal_rank_g.
+
+    The ranks at all points come from one stacked singular value
+    decomposition.
+    """
+    s = np.asarray(points)
     n = ss.n
-    R = np.block([[ss.A - s0 * np.eye(n), ss.B], [ss.C, ss.D]])
-    return _matrix_rank(R, tol_rank) < n + normal_rank_g
+    R = np.block([[ss.A, ss.B], [ss.C, ss.D]])
+    R = np.array(np.broadcast_to(R, (s.size, *R.shape)), dtype=np.result_type(R, s))
+    R[:, range(n), range(n)] -= s[:, None]
+    sv = np.linalg.svd(R, compute_uv=False)
+    return np.array([_rank(x, tol_rank) < n + normal_rank_g for x in sv])
 
 
 def is_invariant_zero(ss: StateSpace, s0, tol_rank: float = TOL_RANK) -> bool:
     """Rosenbrock rank test at the point s0.
 
     True iff rank [[A - s0 I, B], [C, D]] drops below n plus the normal
-    rank of the transfer function, the latter estimated by evaluating
-    G(s) at eight deterministic points beyond the spectral radius.
+    rank of the transfer function, the latter the largest rank of G(s)
+    at eight deterministic points beyond the spectral radius.  Both go
+    through the batched helpers ``_zero_point_tests`` uses, here with
+    the one point s0.
     """
-    return _rosenbrock_rank_drops(ss, s0, _transfer_normal_rank(ss, tol_rank), tol_rank)
+    return bool(_rosenbrock_rank_drops(ss, [s0], _transfer_normal_rank(ss, tol_rank),
+                                       tol_rank)[0])

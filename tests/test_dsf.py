@@ -30,6 +30,7 @@ from dsfmin import (
     transfer_function,
 )
 from dsfmin import minreal, ratcore
+from dsfmin.cli import main
 from dsfmin.errors import ComplexPolesUnsupported, RepeatedPole, ShapeMismatch
 
 from conftest import (
@@ -123,6 +124,19 @@ class TestStructureLimits:
             offdiag = part.A11 - np.diag(np.diag(part.A11))
             assert np.max(np.abs(lim.A11_offdiag - offdiag)) < 1e-8
             assert np.max(np.abs(lim.B1 - part.B1)) < 1e-8
+
+    def test_limits_of_nineteen_pole_rows(self):
+        # each row of [Q P] has 19 poles: the leading numerator coefficient
+        # of an entry sits far below its constant term and is chopped, so
+        # the limits come from the residues the structure function carries
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            part = _long_rows(rng, 2, 18, 2)
+            d = compute_dsf(part)
+            lim = structure_limits(d)
+            offdiag = part.A11 - np.diag(np.diag(part.A11))
+            assert np.max(np.abs(lim.A11_offdiag - offdiag)) < 1e-12
+            assert np.max(np.abs(lim.B1 - part.B1)) < 1e-12
 
 
 class TestBooleanStructure:
@@ -260,6 +274,21 @@ def _relay_blocks():
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module.relay_blocks
+
+
+def _long_rows(rng, p, h, m):
+    """Partition whose every row system has 1 + h real poles.
+
+    The couplings A12, A21 (and A11's off-diagonal and B) are drawn in
+    [0.5, 2] and A22 is diagonal in [-10, -1], so each row system is an
+    arrow matrix with positive products of couplings: real distinct
+    poles interlacing those of A22.
+    """
+    n = p + h
+    A = rng.uniform(0.5, 2.0, (n, n))
+    A[range(n), range(n)] = rng.uniform(-10.0, -1.0, n)
+    A[p:, p:] = np.diag(np.diag(A)[p:])
+    return _partition(A, rng.uniform(0.5, 2.0, (n, m)), p)
 
 
 def _modes_dsf(rng, p, m, l):
@@ -526,3 +555,47 @@ class TestCarriedRowData:
             result = minreal_pipeline(compute_dsf(part))
             assert result.order <= 20
             assert all(r.consistent for r in result.realizations)
+
+
+class TestEntriesOnFirstRead:
+    """A structure function from DSF.from_modes builds Q and P when read."""
+
+    def test_answer_path_builds_no_rational_entry(self, monkeypatch, tmp_path):
+        builds = Counter()
+        build = ratcore._build_pole_residue
+
+        def counted(*args, **kwargs):
+            builds["entries"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ratcore, "_build_pole_residue", counted)
+        # the counter counts: entries of a DSF(Q, P) are built by from_pole_residue
+        random_dsf(np.random.default_rng(3), 3, 2, 4)
+        assert builds["entries"] == 2
+        builds.clear()
+        dsfs = [compute_dsf(part)
+                for part in TestCarriedRowData.relay_parts(np.random.default_rng(47), 20)]
+        for d in dsfs:
+            result = minreal_pipeline(d, enumerate_all=True)
+            assert all(r.consistent for r in result.realizations)
+            structure_limits(d)
+            dsf_to_transfer(d)
+        assert builds == Counter()
+        from test_cli import write_ex1  # test_cli imports this module
+        model = write_ex1(tmp_path)
+        assert main(["minreal", model, "--enumerate-all", "--out-dir", str(tmp_path)]) == 0
+        assert main(["verify", model, str(tmp_path / "realization_1.json")]) == 0
+        assert builds == Counter()
+        for d in dsfs:
+            lam, R = d.modes
+            want = ratcore.from_known_poles(PoleResidueForm(lam, R, np.zeros(R.shape[1:])))
+            got = d.qp()
+            for row, want_row in zip(got.entries, want.entries):
+                for e, w in zip(row, want_row):
+                    assert np.array_equal(e.num.coeffs, w.num.coeffs)
+                    assert np.array_equal(e.den.coeffs, w.den.coeffs)
+                    assert np.array_equal(e.poles(), w.poles())
+            assert d.Q is d.Q and d.P is d.P
+            roots = np.concatenate([e.poles().real for row in got.entries for e in row])
+            assert d.poles == [float(np.mean(c)) for c in ratcore.chain_clusters(roots, d.tol_pole)]
+        assert builds["entries"] == 2 * len(dsfs)

@@ -28,7 +28,8 @@ from dsfmin.errors import (
     PoleAtZeroWithoutShift,
     ResidueRankExceedsOne,
 )
-from dsfmin.minreal import CompatGraph, GilbertData
+from dsfmin.minreal import CompatGraph, GilbertData, _assemble
+from dsfmin.sslib import TOL_RANK, PartitionedRealization, StateSpace, _transfer_normal_rank
 
 from conftest import (
     EX2_D1,
@@ -39,6 +40,7 @@ from conftest import (
     random_dsf,
     rmat,
 )
+from test_dsf import _relay_blocks
 
 
 def brute_force_phi(n, edges):
@@ -349,3 +351,56 @@ class TestProperties:
             surviving = sorted(np.diag(part.A22).tolist())
             expect = sorted(g.poles[i] for i in range(g.l) if not flags[i])
             assert surviving == pytest.approx(expect)
+
+
+class TestBatchedZeroTests:
+    """_zero_point_tests against one SVD per point and per system."""
+
+    @staticmethod
+    def rank(M):
+        sv = np.linalg.svd(M, compute_uv=False)
+        return int(np.sum(sv > TOL_RANK * sv[0]))
+
+    def reference(self, g, flags, full):
+        """(ZeroMatch fields, normal ranks) with one decomposition per point."""
+        points = [(lam, True) for lam, flag in zip(g.poles, flags) if flag]
+        if g.l >= 2:
+            points.append((0.5 * (g.poles[0] + g.poles[1]), False))
+        systems = [StateSpace(full.A22, full.B2, full.A12, full.B1), full.assemble()]
+        ranks = []
+        for ss in systems:
+            sigma = 1.0 + np.max(np.abs(np.linalg.eigvals(ss.A)))
+            ranks.append(max(
+                self.rank(ss.C @ np.linalg.solve((sigma + k) * np.eye(ss.n) - ss.A, ss.B) + ss.D)
+                for k in range(1, 9)))
+        checks = []
+        for point, expected in points:
+            drops = [self.rank(np.block([[ss.A - point * np.eye(ss.n), ss.B], [ss.C, ss.D]]))
+                     < ss.n + nr for ss, nr in zip(systems, ranks)]
+            checks.append((point, *drops, expected))
+        return checks, ranks
+
+    def test_agrees_with_per_point_reference_on_relay_pools(self):
+        relay_blocks = _relay_blocks()
+        sizes = ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4))
+        compared = 0
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                for size in sizes:
+                    b = relay_blocks(rng, *size, 2)
+                    d = compute_dsf(PartitionedRealization(b.A11, b.A12, b.A21, b.A22,
+                                                           b.B1, b.B2))
+                    result = minreal_pipeline(d, enumerate_all=True)
+                    g = result.gilbert
+                    for r in result.realizations:
+                        full = _assemble(g, r.rstar.materialize(), range(g.l))
+                        want, ranks = self.reference(g, r.cancellation_flags, full)
+                        # the pipeline's zero checks are _zero_point_tests on this cascade
+                        assert [(c.point, c.v_zero, c.g_zero, c.expected)
+                                for c in r.zero_checks] == want
+                        assert [_transfer_normal_rank(ss, TOL_RANK) for ss in (
+                            StateSpace(full.A22, full.B2, full.A12, full.B1),
+                            full.assemble())] == ranks
+                        compared += len(want)
+        assert compared > 1000

@@ -247,6 +247,15 @@ class TestInvariantZero:
         ss = StateSpace([[-1.0]], [[1.0]], [[4.0]], [[1.0]])
         assert not is_invariant_zero(ss, -2.0)
 
+    def test_zero_of_one_channel_at_a_pole_of_the_other(self):
+        # G = diag((s+2)/(s+1), (s+3)/(s+2)): the system matrix loses rank at
+        # -2 and -3, although -2 is also a pole of G
+        ss = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.eye(2))
+        assert is_invariant_zero(ss, -2.0)
+        assert is_invariant_zero(ss, -3.0)
+        assert not is_invariant_zero(ss, -1.5)
+        assert not is_invariant_zero(ss, -1.0)
+
     def test_normal_rank_by_sampling(self):
         from dsfmin import normal_rank
         tall = rmat([[([1], [1, 1])], [([1], [2, 1])]])
