@@ -229,12 +229,12 @@ def model_to_dsf(model: ModelFile) -> DSF:
 
 
 def dsf_to_json(d: DSF) -> dict:
-    def enc(M):
-        return [[{"num": [float(c) for c in e.num.coeffs],
-                  "den": [float(c) for c in e.den.coeffs]}
-                 for e in row] for row in M.entries]
-
-    return {"kind": "dsf_coeff", "Q": enc(d.Q), "P": enc(d.P)}
+    """The ``dsf_pole_residue`` file of d, which reads back at any number of poles."""
+    lam, R = d.modes if d.modes is not None else (d.poles, d.residues)
+    if not len(lam):  # the file takes p and m from a residue; zero ones are dropped on reading
+        lam, R = [-1.0], np.zeros((1, d.p, d.p + d.m))
+    return {"kind": "dsf_pole_residue", "poles": [float(x) for x in lam],
+            "KQ": R[:, :, :d.p].tolist(), "KP": R[:, :, d.p:].tolist()}
 
 
 def part_to_json(part: PartitionedRealization) -> dict:

@@ -24,7 +24,8 @@ from .errors import (
     PoleAtZeroWithoutShift,
     ResidueRankExceedsOne,
 )
-from .ratcore import TOL_EVAL, residue_at
+# unused here; perfbench/test_perfbench.py::test_tracer_accounts_for_op_time reads it
+from .ratcore import TOL_EVAL, residue_at  # noqa: F401
 from .sslib import (
     TOL_RANK,
     PartitionedRealization,
@@ -111,10 +112,8 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     [Q P] is strictly proper, the residue of the shifted matrix at lam
     is (lam - a) times that of [Q P], and its value at infinity is
     lim s[Q P] whatever a is: with simple poles, the sum of the residues.
-    The poles are ``d.poles`` and every pole decision uses ``d.tol_pole``.
-    The residues are ``d.residues`` when d was built by ``DSF.from_modes``
-    (``compute_dsf``, ``dsf_pole_residue`` files), else ``residue_at``
-    evaluates each from the rational entries.  Each must have rank 1; the
+    The poles are ``d.poles``, the residues ``d.residues``, and every pole
+    decision uses ``d.tol_pole``.  Each residue must have rank 1; the
     repeated-pole generalization where residues gain rank is not implemented.
     """
     tol_pole = d.tol_pole
@@ -129,11 +128,7 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
         if a != 0.0 and any(abs(x - a) <= tol_pole for x in d.poles):
             raise ValueError(f"shift {a} coincides with a pole of [Q P]")
     poles = d.poles[::-1]
-    if d.residues is None:
-        qp = d.qp()
-        residues = [residue_at(qp, lam, tol_pole) for lam in poles]
-    else:
-        residues = d.residues[::-1]
+    residues = d.residues[::-1]
     D1 = sum(residues, np.zeros((d.p, d.p + d.m)))
     E_list, F_list = [], []
     for lam, K in zip(poles, residues):

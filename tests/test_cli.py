@@ -11,7 +11,7 @@ from dsfmin.cli import dsf_to_json, main, model_to_dsf, parse_model, part_to_jso
 from dsfmin.errors import SchemaError
 
 from conftest import ZERO, ex1_matrices, random_pole_residue, rmat
-from test_dsf import _relay_blocks
+from test_dsf import _long_rows, _relay_blocks
 
 
 EX2_JSON = {
@@ -395,6 +395,21 @@ class TestExtractCommand:
         part = parse_model(model).part
         assert consistency_check(part, d, 1e-6)
 
+    def test_written_file_reads_back(self, tmp_path, capsys):
+        # every row of [Q P] of the 2+18 system has 19 poles, where the roots
+        # of monomial denominators would come back complex; [Q P] of the
+        # other is identically zero, with no pole to carry p and m
+        ss = _long_rows(np.random.default_rng(5), 2, 18, 2).assemble()
+        models = {"rows19": (ss.A.tolist(), ss.B.tolist()),
+                  "no_pole": ([[-1, 0], [0, -2]], [[0], [0]])}
+        for name, (A, B) in models.items():
+            model = tmp_path / f"{name}.json"
+            model.write_text(json.dumps({"kind": "state_space", "A": A, "B": B, "p": 2}))
+            out_path = tmp_path / f"{name}_dsf.json"
+            assert main(["extract", str(model), "-o", str(out_path)]) == 0
+            assert main(["minreal", str(out_path), "--out-dir", str(tmp_path)]) == 0
+            assert "consistency: PASS" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_emitted_realization_verifies(self, tmp_path, capsys):
@@ -495,3 +510,22 @@ class TestGraphCommand:
         main(["graph", str(path), "--format", "json"])
         out = json.loads(capsys.readouterr().out)
         assert all(e["from"].startswith("u") for e in out["edges"])
+
+    def test_weak_slow_link_beside_fast_poles(self, tmp_path, capsys):
+        # P[0][0] = 1/(s+1e4) + 1/(s+2e4) has numerator 2s + 3e4 and
+        # P[1][0] = 1e-5/(s+1): by residue both are links, although the
+        # numerator coefficients differ by more than 1e9
+        zero = {"num": [0], "den": [1]}
+        models = {
+            "pr.json": {"kind": "dsf_pole_residue", "poles": [-2e4, -1e4, -1.0],
+                        "KQ": [[[0, 0], [0, 0]]] * 3,
+                        "KP": [[[1.0], [0.0]], [[1.0], [0.0]], [[0.0], [1e-5]]]},
+            "coeff.json": {"kind": "dsf_coeff", "Q": [[zero, zero], [zero, zero]],
+                           "P": [[{"num": [3e4, 2], "den": [2e8, 3e4, 1]}],
+                                 [{"num": [1e-5], "den": [1, 1]}]]}}
+        for name, model in models.items():
+            path = tmp_path / name
+            path.write_text(json.dumps(model))
+            assert main(["graph", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert "u1 -> y1;" in out and "u1 -> y2;" in out

@@ -29,7 +29,7 @@ from dsfmin import (
     structure_limits,
     transfer_function,
 )
-from dsfmin import minreal, ratcore
+from dsfmin import dsf, minreal, ratcore
 from dsfmin.cli import main
 from dsfmin.errors import ComplexPolesUnsupported, RepeatedPole, ShapeMismatch
 
@@ -464,10 +464,15 @@ class TestCarriedRowData:
                 want = residue_at(qp, lam, d.tol_pole)
                 assert np.max(np.abs(K - want)) <= 1e-8 * np.max(np.abs(want))
 
-    def test_rational_entries_carry_no_residues(self, ex1_partition):
+    def test_rational_entries_carry_residue_at(self, ex1_partition):
         d = compute_dsf(ex1_partition)
-        assert DSF(d.Q, d.P).residues is None
-        assert random_dsf(np.random.default_rng(3), 3, 2, 4).residues is None
+        for rational in (DSF(d.Q, d.P), random_dsf(np.random.default_rng(3), 3, 2, 4)):
+            qp = rational.qp()
+            want = [residue_at(qp, lam, rational.tol_pole) for lam in rational.poles]
+            assert rational.modes is None
+            assert rational.residues.shape == (len(rational.poles), rational.p,
+                                               rational.p + rational.m)
+            assert np.array_equal(rational.residues, want)
 
     def test_consistency_by_residues_matches_entry_values(self):
         # the same realizations judged against [Q P] as residues and as entries
@@ -532,7 +537,7 @@ class TestCarriedRowData:
 
         monkeypatch.setattr(ratcore.Polynomial, "roots",
                             counted("roots", ratcore.Polynomial.roots))
-        for module in (ratcore, minreal):
+        for module in (ratcore, dsf, minreal):
             monkeypatch.setattr(module, "residue_at", counted("residue_at", module.residue_at))
         part = self.relay_parts(np.random.default_rng(43), 5)[-1]
         d = compute_dsf(part)
@@ -585,6 +590,9 @@ class TestEntriesOnFirstRead:
         model = write_ex1(tmp_path)
         assert main(["minreal", model, "--enumerate-all", "--out-dir", str(tmp_path)]) == 0
         assert main(["verify", model, str(tmp_path / "realization_1.json")]) == 0
+        written = str(tmp_path / "dsf.json")
+        assert main(["extract", model, "-o", written]) == 0
+        assert main(["graph", written]) == 0
         assert builds == Counter()
         for d in dsfs:
             lam, R = d.modes
