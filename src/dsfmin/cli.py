@@ -9,8 +9,10 @@ Model files are JSON with a ``kind`` discriminator:
 * ``dsf_pole_residue``  {"kind": "dsf_pole_residue", "poles": [..],
                          "KQ": [[[..]]], "KP": [[[..]]]}
 
-Any file may carry a ``tolerances`` object; its values override both the
-defaults and the command-line flags.  ``parse_model`` resolves them once.
+Every number of a model file is a finite JSON number: ``true``, ``"1"``,
+``NaN`` and ``Infinity`` are schema errors.  Any file may carry a
+``tolerances`` object; its values override both the defaults and the
+command-line flags.  ``parse_model`` resolves them once.
 Exit codes: 0 success, 1 verification failure, 2 assumption violation,
 3 I/O or schema error.
 """
@@ -76,37 +78,44 @@ class ModelFile:
     tolerances: dict = None              # every key of TOL_FLAGS, resolved
 
 
-def _check_finite(x, what):
-    """SchemaError if any of the numbers ``x`` is NaN or infinite (JSON reads both)."""
+def _numbers(obj, what, ndim):
+    """``obj`` as a float array with ``ndim`` axes, 0 for one number.
+
+    The one number check of a model file: SchemaError unless ``obj`` is
+    lists nested ``ndim`` deep, rectangular, of finite JSON numbers.
+    ``true`` and ``"1"`` are not numbers; ``NaN`` and ``Infinity``, which
+    JSON readers accept, are not finite.
+    """
+    def nested(x, depth):
+        if depth == 0:
+            return isinstance(x, (int, float)) and not isinstance(x, bool)
+        return isinstance(x, list) and all(nested(y, depth - 1) for y in x)
+
+    expected = "a number" if ndim == 0 else f"a rectangular {ndim}-d array of numbers"
+    try:
+        x = np.array(obj, dtype=float) if nested(obj, ndim) else None
+    except (ValueError, OverflowError):  # ragged lists; an integer beyond float range
+        x = None
+    if x is None or x.ndim != ndim:
+        raise SchemaError(f"{what}: expected {expected}")
     if not np.isfinite(x).all():
         raise SchemaError(f"{what}: numbers must be finite")
-
-
-def _as_grid(obj, what):
-    try:
-        M = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: expected a rectangular numeric grid") from exc
-    if M.ndim != 2:
-        raise SchemaError(f"{what}: expected a 2-d grid, got {M.ndim}-d")
-    _check_finite(M, what)
-    return M
+    return x
 
 
 def _ratfun_from_json(obj, what, tol_root):
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise SchemaError(f'{what}: expected an object with "num" and "den" arrays')
+    num, den = (_numbers(obj[key], f"{what}.{key}", 1) for key in ("num", "den"))
     try:
-        num, den = list(map(float, obj["num"])), list(map(float, obj["den"]))
-        _check_finite(num + den, what)
         return RationalFunction(num, den, tol_root)
-    except (TypeError, ValueError, ZeroDenominator) as exc:
+    except (ValueError, ZeroDenominator) as exc:
         raise SchemaError(f"{what}: bad coefficient array ({exc})") from exc
 
 
 def _rmat_from_json(obj, what, tol_root):
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise SchemaError(f"{what}: expected a list of rows")
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) and r for r in obj):
+        raise SchemaError(f"{what}: expected a list of non-empty rows")
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise SchemaError(f"{what}: ragged rows")
@@ -134,13 +143,11 @@ def parse_model(path: str, flags=None) -> ModelFile:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise SchemaError(f'{path}: missing "kind" field')
     kind = raw["kind"]
-    tols = raw.get("tolerances") or {}
+    tols = raw.get("tolerances", {})
     if not isinstance(tols, dict) or any(k not in TOL_FLAGS for k in tols):
-        raise SchemaError(f"{path}: tolerances must be a subset of {tuple(TOL_FLAGS)}")
-    try:
-        tols = {key: float(value) for key, value in tols.items()}
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: tolerances must be numbers") from exc
+        raise SchemaError(f"{path}: tolerances must be an object with keys among "
+                          f"{tuple(TOL_FLAGS)}")
+    tols = {key: float(_numbers(value, f"{path}: {key}", 0)) for key, value in tols.items()}
     flags = {key: v for key, v in (flags or {}).items() if key in TOL_FLAGS}
     tols = {**TOL_FLAGS, **flags, **tols}
     for key, value in tols.items():
@@ -151,13 +158,13 @@ def parse_model(path: str, flags=None) -> ModelFile:
         for key in ("A", "B"):
             if key not in raw:
                 raise SchemaError(f'{path}: state_space requires "{key}"')
-        A = _as_grid(raw["A"], f"{path}: A")
-        B = _as_grid(raw["B"], f"{path}: B")
+        A = _numbers(raw["A"], f"{path}: A", 2)
+        B = _numbers(raw["B"], f"{path}: B", 2)
         n = A.shape[0]
         if "p" in raw and (isinstance(raw["p"], bool) or not isinstance(raw["p"], int)):
             raise SchemaError(f'{path}: "p" must be an integer')
         if "C" in raw:
-            C = _as_grid(raw["C"], f"{path}: C")
+            C = _numbers(raw["C"], f"{path}: C", 2)
             p = C.shape[0]
             if raw.get("p", p) != p:
                 raise SchemaError(f'{path}: "p" disagrees with the rows of C')
@@ -190,19 +197,15 @@ def parse_model(path: str, flags=None) -> ModelFile:
         for key in ("poles", "KQ", "KP"):
             if key not in raw:
                 raise SchemaError(f'{path}: dsf_pole_residue requires "{key}"')
-        try:
-            poles = [float(x) for x in raw["poles"]]
-            _check_finite(poles, f"{path}: poles")
-            KQ = [_as_grid(K, f"{path}: KQ[{i}]") for i, K in enumerate(raw["KQ"])]
-            KP = [_as_grid(K, f"{path}: KP[{i}]") for i, K in enumerate(raw["KP"])]
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+        poles = _numbers(raw["poles"], f"{path}: poles", 1)
+        if not poles.size:
+            raise SchemaError(f"{path}: at least one pole is required")
+        KQ = _numbers(raw["KQ"], f"{path}: KQ", 3)
+        KP = _numbers(raw["KP"], f"{path}: KP", 3)
         if len(KQ) != len(poles) or len(KP) != len(poles):
             raise SchemaError(f"{path}: KQ/KP must list one matrix per pole")
-        if not poles:
-            raise SchemaError(f"{path}: at least one pole is required")
-        p, m = KQ[0].shape[0], KP[0].shape[1]
-        if any(K.shape != (p, p) for K in KQ) or any(K.shape != (p, m) for K in KP):
+        p = KQ.shape[1]
+        if KQ.shape[2] != p or KP.shape[1] != p:
             raise SchemaError(f"{path}: every KQ must be p x p and every KP p x m")
         R = np.concatenate([KQ, KP], axis=2)
     else:

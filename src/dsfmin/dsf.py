@@ -43,6 +43,8 @@ from .ratcore import (
     merge_poles,
     off_pole_points,
     residue_at,
+    rmat_eval,
+    values_agree,
 )
 from .sslib import (
     TOL_RANK,
@@ -208,7 +210,7 @@ def compute_wv(part: PartitionedRealization):
     """Intermediate rational matrices of a partitioned realization.
 
     W = A11 + A12 (sI - A22)^(-1) A21 and
-    V = B1  + A12 (sI - A22)^(-1) B2, sharing one resolvent of A22.
+    V = B1  + A12 (sI - A22)^(-1) B2, one ``transfer_from_blocks`` call each.
     """
     W = transfer_from_blocks(part.A22, part.A21, part.A12, part.A11)
     V = transfer_from_blocks(part.A22, part.B2, part.A12, part.B1)
@@ -317,10 +319,10 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     [Q P] is row i of [W V] with W_ii set to zero, divided by
     s - W_ii.  The structure function's side is sum_n R_n / (s - lam_n)
     over ``d.modes``, the entries' poles unchained, when d carries them,
-    else each entry's value: the input as given, not ``d.residues``
-    converted from it, whose error (8e-8 relative at 12 poles per entry)
-    would otherwise pass unseen.  Entries f, g agree when
-    |f - g| <= tol_eval * max(1, |f|, |g|).
+    else the entries' values, one ``rmat_eval`` at all the points: the
+    input as given, not ``d.residues`` converted from it, whose error
+    (8e-8 relative at 12 poles per entry) would otherwise pass unseen.
+    The two sides are judged by ``values_agree``.
     """
     if part.p != d.p or part.m != d.m:
         raise ShapeMismatch(
@@ -331,7 +333,7 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     poles = [d.poles, np.linalg.eigvals(part.A22), np.linalg.eigvals(A_rows).ravel()]
     s = np.asarray(off_pole_points(np.concatenate(poles), 16))
     if d.modes is None:
-        want = np.moveaxis(np.array([[e(s) for e in row] for row in d.qp().entries]), -1, 0)
+        want = rmat_eval(d.qp(), s)
     else:
         lam, R = d.modes
         want = np.tensordot(1.0 / (s[:, None] - lam), R, axes=1)
@@ -341,6 +343,4 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     diag = (slice(None), range(p), range(p))
     w_ii = wv[diag].copy()
     wv[diag] = 0.0
-    got = wv / (s[:, None] - w_ii)[:, :, None]
-    bound = tol_eval * np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
-    return bool(np.all(np.abs(got - want) <= bound))
+    return values_agree(wv / (s[:, None] - w_ii)[:, :, None], want, tol_eval)

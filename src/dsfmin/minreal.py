@@ -30,8 +30,7 @@ from .sslib import (
     TOL_RANK,
     PartitionedRealization,
     StateSpace,
-    _rosenbrock_rank_drops,
-    _transfer_normal_rank,
+    is_invariant_zero,
     rank_factorization,
 )
 
@@ -328,20 +327,16 @@ def _zero_point_tests(g: GilbertData, flags, full: PartitionedRealization, tol_r
     Both tests run on the full (uncancelled) cascade, where a removed
     pole persists as an unobservable mode: the V-subsystem
     (A22, B2, A12, B1) and the assembled system lose Rosenbrock rank
-    together exactly at the cancelled poles.  Each system's normal rank
-    comes from one stacked solve and one stacked singular value
-    decomposition at eight points beyond its spectrum, and its
-    Rosenbrock ranks at all the test points from one more stacked
-    decomposition.
+    together exactly at the cancelled poles.  ``is_invariant_zero`` tests
+    each system at all the points in one call.
     """
     points = [(lam, True) for lam, flag in zip(g.poles, flags) if flag]
     if g.l >= 2:
         points.append((0.5 * (g.poles[0] + g.poles[1]), False))
     if not points:
         return []
-    at = [point for point, _ in points]
-    v_zero, g_zero = (_rosenbrock_rank_drops(ss, at, _transfer_normal_rank(ss, tol_rank),
-                                             tol_rank)
+    at = np.array([point for point, _ in points])
+    v_zero, g_zero = (is_invariant_zero(ss, at, tol_rank)
                       for ss in (StateSpace(full.A22, full.B2, full.A12, full.B1),
                                  full.assemble()))
     return [ZeroMatch(point, bool(v), bool(z), expected)

@@ -18,10 +18,12 @@ Default tolerances; every operation that needs one accepts an override:
 
 * ``TOL_ROOT``  root matching / cancellation (1e-8)
 * ``TOL_POLE``  pole deduplication and realness (1e-6)
-* ``TOL_EVAL``  sample-point agreement (1e-8)
+* ``TOL_EVAL``  sample-point agreement, ``values_agree`` (1e-8)
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -182,6 +184,26 @@ def _real_coeffs(roots, imag_floor=1e-7):
     return c.real
 
 
+def _reduced(nums, dens, tol_root):
+    """Numerator and monic denominator of prod(nums) / prod(dens), reduced.
+
+    The roots of each factor are found on their own and paired by
+    ``_cancel_common_roots``, so a factor shared by two fractions pairs up
+    at full root accuracy instead of degrading through an expanded
+    multiple root.  Both parts are rebuilt from the roots left only when
+    a pair cancelled.
+    """
+    def roots(factors):
+        return np.concatenate([_realify(f.roots()) for f in factors])
+
+    keep_n, keep_d, cancelled = _cancel_common_roots(roots(nums), roots(dens), tol_root)
+    if cancelled:
+        scale = math.prod(f.lead for f in nums) / math.prod(f.lead for f in dens)
+        return Polynomial(scale * _real_coeffs(keep_n)), Polynomial(_real_coeffs(keep_d))
+    num, den = math.prod(nums[1:], start=nums[0]), math.prod(dens[1:], start=dens[0])
+    return Polynomial(num.coeffs / den.lead), Polynomial(den.coeffs / den.lead)
+
+
 class RationalFunction:
     """Reduced ratio of two real polynomials with a monic denominator.
 
@@ -203,18 +225,7 @@ class RationalFunction:
             self.num = Polynomial([0.0])
             self.den = Polynomial([1.0])
             return
-        if num.degree() > 0 or den.degree() > 0:
-            nr = _realify(num.roots()) if num.degree() > 0 else np.zeros(0, dtype=complex)
-            dr = _realify(den.roots()) if den.degree() > 0 else np.zeros(0, dtype=complex)
-            keep_n, keep_d, cancelled = _cancel_common_roots(nr, dr, tol_root)
-            if cancelled:
-                scale = num.lead / den.lead
-                self.num = Polynomial(scale * _real_coeffs(keep_n))
-                self.den = Polynomial(_real_coeffs(keep_d))
-                return
-        lead = den.lead
-        self.num = Polynomial(num.coeffs / lead)
-        self.den = Polynomial(den.coeffs / lead)
+        self.num, self.den = _reduced([num], [den], tol_root)
 
     # -- classification ------------------------------------------------
 
@@ -325,26 +336,12 @@ def _add_over_lcm(f: RationalFunction, g: RationalFunction,
 
 def _combine(n1: Polynomial, n2: Polynomial, d1: Polynomial, d2: Polynomial,
              tol_root: float = TOL_ROOT) -> RationalFunction:
-    """Reduced product (n1 n2) / (d1 d2) of already-reduced fractions.
-
-    Cancellation is detected on the root lists of the individual factors,
-    so duplicate factors across the two fractions pair up at full root
-    accuracy instead of degrading through an expanded multiple root.
-    """
+    """Reduced product (n1 n2) / (d1 d2) of already-reduced fractions (see ``_reduced``)."""
     if n1.is_zero or n2.is_zero:
         return RationalFunction([0.0])
     if max(n1.degree(), n2.degree(), d1.degree(), d2.degree()) == 0:
         return _raw_ratfun(n1 * (n2.lead / (d1.lead * d2.lead)), Polynomial([1.0]))
-    nr = np.concatenate([_realify(p.roots()) if p.degree() > 0 else np.zeros(0, complex)
-                         for p in (n1, n2)])
-    dr = np.concatenate([_realify(p.roots()) if p.degree() > 0 else np.zeros(0, complex)
-                         for p in (d1, d2)])
-    keep_n, keep_d, cancelled = _cancel_common_roots(nr, dr, tol_root)
-    if not cancelled:
-        return _raw_ratfun(n1 * n2, d1 * d2)
-    scale = (n1.lead * n2.lead) / (d1.lead * d2.lead)
-    return _raw_ratfun(Polynomial(scale * _real_coeffs(keep_n)),
-                       Polynomial(_real_coeffs(keep_d)))
+    return _raw_ratfun(*_reduced([n1, n2], [d1, d2], tol_root))
 
 
 def rat_reduce(num, den, tol_root: float = TOL_ROOT) -> RationalFunction:
@@ -352,21 +349,13 @@ def rat_reduce(num, den, tol_root: float = TOL_ROOT) -> RationalFunction:
     return RationalFunction(num, den, tol_root=tol_root)
 
 
-def ratfun_equal(f: RationalFunction, g: RationalFunction,
-                 tol_eval: float = TOL_EVAL, sample_points=None) -> bool:
-    """Equality of two rational functions by value at sample points.
+def values_agree(f, g, tol_eval: float = TOL_EVAL) -> bool:
+    """The one agreement rule of sampled values, for arrays of one shape.
 
-    The default points are 16 deterministic points beyond every pole of
-    either function; f and g agree at s when
-    |f(s) - g(s)| <= tol_eval * max(1, |f(s)|, |g(s)|).
+    True when |f - g| <= tol_eval * max(1, |f|, |g|) at every element.
     """
-    if sample_points is None:
-        sample_points = off_pole_points(np.concatenate([f.poles(), g.poles()]), 16)
-    for s in sample_points:
-        fv, gv = f(s), g(s)
-        if abs(fv - gv) > tol_eval * max(1.0, abs(fv), abs(gv)):
-            return False
-    return True
+    bound = tol_eval * np.maximum(1.0, np.maximum(np.abs(f), np.abs(g)))
+    return bool(np.all(np.abs(f - g) <= bound))
 
 
 def off_pole_points(poles, count: int) -> list:
@@ -469,11 +458,7 @@ class RationalMatrix:
 
 def _all_den_roots(M: RationalMatrix):
     """(i, j, roots) triples of denominator roots, reduced entries."""
-    out = []
-    for i in range(M.rows):
-        for j in range(M.cols):
-            out.append((i, j, M.entries[i][j].poles()))
-    return out
+    return [(i, j, e.poles()) for i, row in enumerate(M.entries) for j, e in enumerate(row)]
 
 
 def rmat_poles(M: RationalMatrix, tol_pole: float = TOL_POLE) -> list:
@@ -683,16 +668,27 @@ def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatri
     return RationalMatrix(out)
 
 
-def rmat_eval(M: RationalMatrix, s0, tol_pole: float = TOL_POLE) -> np.ndarray:
-    """Entrywise value of M at s0; errors when s0 sits on a pole."""
-    out = np.zeros((M.rows, M.cols), dtype=complex)
-    for i, j, r in _all_den_roots(M):
-        if r.size and np.min(np.abs(r - s0)) <= tol_pole:
-            raise EvaluationAtPole(f"s0={s0} is a pole of entry ({i}, {j})")
-        out[i, j] = M.entries[i][j](s0)
-    if np.max(np.abs(out.imag)) == 0.0:
-        return out.real
-    return out
+def rmat_eval(M: RationalMatrix, s, tol_pole: float = TOL_POLE) -> np.ndarray:
+    """Entrywise value of M at the point s, or at each point of an array s.
+
+    An array gives the values stacked, points x rows x cols.  Every pole
+    of every entry is tested against every point at once: one within
+    ``tol_pole`` raises EvaluationAtPole.  Values are real when no imaginary
+    part is nonzero.
+    """
+    s = np.asarray(s)
+    pts = np.atleast_1d(s)
+    den_roots = _all_den_roots(M)
+    roots = np.concatenate([np.zeros(0), *(r for _, _, r in den_roots)])
+    at_pole = np.abs(roots[:, None] - pts) <= tol_pole
+    if at_pole.any():
+        point = pts[np.argwhere(at_pole)[0, 1]]
+        i, j = next((i, j) for i, j, r in den_roots if np.any(np.abs(r - point) <= tol_pole))
+        raise EvaluationAtPole(f"s0={point} is a pole of entry ({i}, {j})")
+    out = np.moveaxis(np.array([[e(pts) for e in row] for row in M.entries]), -1, 0)
+    if np.iscomplexobj(out) and not np.any(out.imag):
+        out = out.real
+    return out if s.ndim else out[0]
 
 
 def rmat_det(M: RationalMatrix) -> RationalFunction:
@@ -736,13 +732,14 @@ def rmat_inverse(M: RationalMatrix) -> RationalMatrix:
 
 def rmat_equal(M1: RationalMatrix, M2: RationalMatrix,
                tol_eval: float = TOL_EVAL) -> bool:
-    """Entrywise equality of two rational matrices (see ratfun_equal)."""
+    """Entrywise equality of two rational matrices by value.
+
+    Both are evaluated at 16 points beyond every pole of either and
+    judged by ``values_agree``.
+    """
     if M1.shape != M2.shape:
         raise ShapeMismatch(f"shapes {M1.shape} and {M2.shape} differ")
-    pts = off_pole_points(np.concatenate([e.poles() for M in (M1, M2)
-                                          for row in M.entries for e in row]), 16)
-    for r1, r2 in zip(M1.entries, M2.entries):
-        for a, b in zip(r1, r2):
-            if not ratfun_equal(a, b, tol_eval, sample_points=pts):
-                return False
-    return True
+    both = RationalMatrix.hstack(M1, M2)
+    pts = off_pole_points(np.concatenate([e.poles() for row in both.entries for e in row]), 16)
+    values = rmat_eval(both, np.asarray(pts))
+    return values_agree(values[..., :M1.cols], values[..., M1.cols:], tol_eval)

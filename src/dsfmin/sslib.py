@@ -333,11 +333,12 @@ def mcmillan_degree(M: RationalMatrix, tol_pole: float = TOL_POLE,
 
 
 def normal_rank(M: RationalMatrix, points=None, tol_rank: float = TOL_RANK) -> int:
-    """Maximum evaluation rank over deterministic off-pole sample points."""
+    """Largest rank of M at off-pole sample points: one ``rmat_eval``, one stacked SVD."""
     if points is None:
         points = off_pole_points(np.concatenate([e.poles() for row in M.entries
                                                  for e in row]), 8)
-    return max(_matrix_rank(rmat_eval(M, s), tol_rank) for s in points)
+    sv = np.linalg.svd(rmat_eval(M, np.asarray(points)), compute_uv=False)
+    return max(_rank(x, tol_rank) for x in sv)
 
 
 def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
@@ -352,30 +353,21 @@ def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
     return max(_rank(sv, tol_rank) for sv in np.linalg.svd(G, compute_uv=False))
 
 
-def _rosenbrock_rank_drops(ss: StateSpace, points, normal_rank_g: int,
-                           tol_rank: float) -> np.ndarray:
-    """Per point s0: rank [[A - s0 I, B], [C, D]] < n + normal_rank_g.
+def is_invariant_zero(ss: StateSpace, s, tol_rank: float = TOL_RANK):
+    """Rosenbrock rank test at the point s, or at each point of an array s.
 
-    The ranks at all points come from one stacked singular value
-    decomposition.
+    True where rank [[A - s I, B], [C, D]] drops below n plus the normal
+    rank of the transfer function, the latter the largest rank of G at
+    eight deterministic points beyond the spectral radius.  The ranks at
+    all the points come from one stacked singular value decomposition;
+    an array of points gives an array of verdicts.
     """
-    s = np.asarray(points)
+    s = np.asarray(s)
+    pts = np.atleast_1d(s)
     n = ss.n
     R = np.block([[ss.A, ss.B], [ss.C, ss.D]])
-    R = np.array(np.broadcast_to(R, (s.size, *R.shape)), dtype=np.result_type(R, s))
-    R[:, range(n), range(n)] -= s[:, None]
-    sv = np.linalg.svd(R, compute_uv=False)
-    return np.array([_rank(x, tol_rank) < n + normal_rank_g for x in sv])
-
-
-def is_invariant_zero(ss: StateSpace, s0, tol_rank: float = TOL_RANK) -> bool:
-    """Rosenbrock rank test at the point s0.
-
-    True iff rank [[A - s0 I, B], [C, D]] drops below n plus the normal
-    rank of the transfer function, the latter the largest rank of G(s)
-    at eight deterministic points beyond the spectral radius.  Both go
-    through the batched helpers ``_zero_point_tests`` uses, here with
-    the one point s0.
-    """
-    return bool(_rosenbrock_rank_drops(ss, [s0], _transfer_normal_rank(ss, tol_rank),
-                                       tol_rank)[0])
+    R = np.array(np.broadcast_to(R, (pts.size, *R.shape)), dtype=np.result_type(R, pts))
+    R[:, range(n), range(n)] -= pts[:, None]
+    full = n + _transfer_normal_rank(ss, tol_rank)
+    drops = np.array([_rank(x, tol_rank) < full for x in np.linalg.svd(R, compute_uv=False)])
+    return drops.reshape(s.shape) if s.ndim else bool(drops[0])

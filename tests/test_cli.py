@@ -285,8 +285,38 @@ class TestMalformedInput:
                      "KQ": [[[0.0, 1.0], [0.0, 0.0]]], "KP": [[[1.0], [0.0], [1.0]]]}),
         ("minreal", {"kind": "dsf_pole_residue", "poles": [-1.0],
                      "KQ": [[[1.0, 1.0], [0.0, 0.0]]], "KP": [[[1.0], [0.0]]]}),
+        ("minreal", dict(EX2_JSON, Q=[[]])),
+        ("minreal", dict(EX2_JSON, P=[[]])),
+        # booleans and numeric strings are not numbers
+        ("minreal", {"kind": "state_space", "A": [[True, 0], [0, -2]], "B": [[1], [0]], "p": 1}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": ["-1"], "KQ": [[[0]]], "KP": [[[1]]]}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": [-1], "KQ": [[[0]]], "KP": [[[True]]]}),
+        ("minreal", dict(EX2_JSON, P=[[{"num": ["1"], "den": [4, 1]}]] * 3)),
+        ("minreal", dict(EX2_JSON, tolerances={"tol_pole": True})),
+        ("minreal", dict(EX2_JSON, tolerances={"tol_eval": "1e-3"})),
+        ("minreal", {"kind": "state_space", "A": [[10 ** 400]], "B": [[1.0]], "p": 1}),
+        # each schema rule of parse_model
+        ("minreal", {"A": [[-1.0]], "B": [[1.0]], "p": 1}),
+        ("minreal", ex1_state_space(p=3, tolerances=[1e-6])),
+        ("minreal", {"kind": "state_space", "B": [[1.0]], "p": 1}),
+        ("minreal", ex1_state_space(p=3, C=np.eye(2, 5).tolist())),
+        ("minreal", ex1_state_space()),
+        ("minreal", {"kind": "state_space", "A": [[-1.0, 0.0]], "B": [[1.0]], "p": 1}),
+        ("minreal", {"kind": "dsf_coeff", "Q": EX2_JSON["Q"]}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": [-1.0], "KQ": [[[0.0]]]}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": [-1.0, -2.0], "KQ": [[[0.0]]],
+                     "KP": [[[1.0]], [[1.0]]]}),
+        ("minreal", {"kind": "dsf_pole_residue", "poles": [], "KQ": [], "KP": []}),
+        ("minreal", {"kind": "state_space", "A": [-1.0, -2.0], "B": [[1.0], [0.0]], "p": 1}),
+        ("minreal", dict(EX2_JSON, P=[[1.0]] * 3)),
+        ("minreal", dict(EX2_JSON, Q=[row[:2] for row in EX2_JSON["Q"][:2]] + EX2_JSON["Q"][2:])),
     ], ids=["p_string", "p_fraction", "C_more_rows_than_states", "zero_denominator",
-            "verify_shape_mismatch", "KQ_not_square", "KP_rows_differ", "KQ_diagonal"])
+            "verify_shape_mismatch", "KQ_not_square", "KP_rows_differ", "KQ_diagonal",
+            "Q_empty_row", "P_empty_row", "A_bool", "pole_string", "residue_bool",
+            "num_string", "tolerance_bool", "tolerance_string", "int_beyond_float", "no_kind",
+            "tolerances_not_mapping", "no_A", "p_disagrees_with_C", "no_C_nor_p",
+            "A_not_square", "no_P", "no_KP", "KQ_count_differs", "no_poles", "grid_1d",
+            "entry_not_object", "ragged_rows"])
     def test_exits_3_with_one_error_line(self, tmp_path, capsys, command, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -457,6 +487,32 @@ class TestVerifyCommand:
         code = main(["verify", write_ex2(tmp_path), str(path)])
         assert code == 1
         assert "inconsistent" in capsys.readouterr().out
+
+    def test_padded_realization_is_consistent_but_not_minimal(self, tmp_path, capsys):
+        # a decoupled hidden state at -7 leaves [Q P] as it is and the order at 7
+        model = write_ex2(tmp_path)
+        main(["minreal", model, "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        raw = json.loads((tmp_path / "realization_1.json").read_text())
+        n = len(raw["A"])
+        A = np.zeros((n + 1, n + 1))
+        A[:n, :n] = raw["A"]
+        A[n, n] = -7.0
+        padded = tmp_path / "padded.json"
+        padded.write_text(json.dumps(dict(raw, A=A.tolist(), B=raw["B"] + [[0.0]],
+                                          C=[row + [0.0] for row in raw["C"]])))
+        assert main(["verify", model, str(padded)]) == 0
+        out = capsys.readouterr().out
+        assert "realization order: 7; minimal consistent order: 6" in out
+        assert "verdict: consistent but not minimal" in out
+
+    def test_structure_function_as_realization_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(CONFLICT_JSON))
+        assert main(["verify", write_ex2(tmp_path), str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expected a state_space realization" in err
 
     def test_realization_against_own_dsf(self, tmp_path, capsys):
         model = write_ex1(tmp_path)
