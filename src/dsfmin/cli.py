@@ -207,6 +207,8 @@ def parse_model(path: str, flags=None) -> ModelFile:
         p = KQ.shape[1]
         if KQ.shape[2] != p or KP.shape[1] != p:
             raise SchemaError(f"{path}: every KQ must be p x p and every KP p x m")
+        if not KP.shape[2]:
+            raise SchemaError(f"{path}: at least one input is required (KP has no column)")
         R = np.concatenate([KQ, KP], axis=2)
     else:
         raise SchemaError(f"{path}: unknown kind {kind!r}")

@@ -8,14 +8,18 @@ realization (``compute_wv``), Q_ij = W_ij / (s - W_ii) and
 P_ij = V_ij / (s - W_ii).
 
 ``compute_dsf`` does not form that quotient.  Row i of [Q P] is the
-transfer of a row system with 1 + h states; an orthogonal staircase
-(``sslib.kalman_reduce``) reduces it to the modes the row sees, an
-eigendecomposition gives their poles and residues, and residues at or
-below TOL_RANK times the row's largest (each relative to its input
-column's norm) count as zero.  ``DSF.from_modes`` keeps them, as it keeps
-those of a ``dsf_pole_residue`` file, and builds no rational entry; ``Q``
-and ``P`` are built on first read.  ``DSF(Q, P)`` evaluates each residue
-of its rational entries once, when built, so every consumer of a ``DSF``
+transfer of a row system with 1 + h states.  One eigendecomposition of
+all p row systems, stacked, gives their poles and residues, and residues
+at or below TOL_RANK times the row's largest (each relative to its input
+column's norm) count as zero, which drops the modes a row cannot see.  A
+row whose eigenbasis cannot be trusted for that (an eigenvalue not
+exactly real, two within ``tol_pole``, an ill-conditioned eigenbasis) or
+that sees nothing above rounding level is first reduced to the modes it
+sees by an orthogonal staircase (``sslib.kalman_reduce``).
+``DSF.from_modes`` keeps the rows' poles and residues, as it keeps those
+of a ``dsf_pole_residue`` file, and builds no rational entry; ``Q`` and
+``P`` are built on first read.  ``DSF(Q, P)`` evaluates each residue of
+its rational entries once, when built, so every consumer of a ``DSF``
 reads ``d.residues``.  ``DSF`` judges repeated poles by one rule for
 every input: no entry may have two poles in one pole of [Q P], the
 entries' poles chained at ``tol_pole``.
@@ -217,50 +221,127 @@ def compute_wv(part: PartitionedRealization):
     return W, V
 
 
-def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF:
-    """Dynamical structure function of a partitioned realization.
+def _row_systems(part: PartitionedRealization):
+    """The row systems of a partition, stacked over the measured states.
 
     Row i of [Q P] is the transfer from (y_j for j != i, u) to y_i of the
-    row system on measured state i and the hidden states:
-    A_i = A[idx, idx], B_i = [A[idx, j != i], B[idx]] and C_i = e_1 with
-    idx = [i, p, ..., n-1].  ``kalman_reduce`` drops the modes the row
-    cannot see, so what remains is minimal and, having one output, cyclic.
-    An eigendecomposition A_min = V diag(lam) V^(-1) then gives the row's
-    poles and residues (C_min v_k) (V^(-1) B_min)_k, with no rational
-    arithmetic.  Eigenvectors with condition number above 1/TOL_RANK mark
-    a defective eigenvalue, in a cyclic system a multiple pole, and raise
-    RepeatedPole; a complex eigenvalue then raises ComplexPolesUnsupported.
-    Residues at or below TOL_RANK times the row's largest are rounding
-    noise and count as zero, each residue taken relative to the norm of
-    its column of B_i, so that neither this floor nor the staircase
-    depends on the units of an input or a coupling.  The rows' poles and
-    residues, stacked, go to ``DSF.from_modes``; two of them in one entry
-    and one chained pole of [Q P] are, in a cyclic row, a multiple pole.
+    system on measured state i and the hidden states: A_i = A[idx, idx],
+    B_i = [A[idx, j != i], B[idx]] and C_i = e_1, with
+    idx = [i, p, ..., n-1].  Returns A_i, p x (1+h) x (1+h), and B_i,
+    p x (1+h) x (p-1+m).
     """
     p = part.p
     ss = part.assemble()
-    hidden = list(range(p, part.order))
-    lams, Rs = [], []
-    for i in range(p):
-        idx = [i, *hidden]
-        others = [j for j in range(p) if j != i]
-        B = np.hstack([ss.A[np.ix_(idx, others)], ss.B[idx]])
-        norms = column_norms(B)
-        A, B, C = kalman_reduce(ss.A[np.ix_(idx, idx)], B, np.eye(1, len(idx)))
-        lam, V = np.linalg.eig(A)
-        if lam.size > 1 and np.linalg.cond(V) > 1.0 / TOL_RANK:
-            # a cyclic row has a defective eigenvalue only as a multiple pole
-            raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
-        if np.any(np.abs(lam.imag) > tol_pole):
-            raise ComplexPolesUnsupported(
-                f"row {i} of [Q P] has complex poles; only real poles are supported")
-        R = ((C @ V).T * np.linalg.solve(V, B)).real
-        scaled = np.abs(R) / norms
-        R[scaled <= TOL_RANK * np.max(scaled, initial=0.0)] = 0.0
-        block = np.zeros((lam.size, p, p + part.m))
-        block[:, i] = np.insert(R, i, 0.0, axis=1)
-        lams.append(lam.real)
-        Rs.append(block)
+    idx = np.array([[i, *range(p, part.order)] for i in range(p)])
+    others = np.array([[j for j in range(p) if j != i] for i in range(p)],
+                      dtype=int).reshape(p, p - 1)
+    A = ss.A[idx[:, :, None], idx[:, None, :]]
+    B = np.concatenate([ss.A[idx[:, :, None], others[:, None, :]], ss.B[idx]], axis=2)
+    return A, B
+
+
+def _floor_residues(R: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Zero the residues of each row at or below TOL_RANK times its largest.
+
+    R holds the residues of one row or of a stack of rows, modes x
+    columns each, and ``norms`` the norms of the columns of each B_i,
+    relative to which every residue is judged.
+    """
+    scaled = np.abs(R) / norms[..., None, :]
+    R[scaled <= TOL_RANK * np.max(scaled, axis=(-2, -1), keepdims=True, initial=0.0)] = 0.0
+    return R
+
+
+def _in_qp(rows: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
+    """Residues R[k] of row rows[k] as residue matrices of [Q P].
+
+    R is rows x modes x (p-1+m), its columns those of B_i, which skip
+    Q's diagonal; the result is (rows * modes) x p x (p+m).
+    """
+    k, n, q = R.shape
+    c = np.arange(q)
+    cols = c + (c >= rows[:, None])
+    out = np.zeros((k, n, p, q + 1))
+    out[np.arange(k)[:, None, None], np.arange(n)[:, None], rows[:, None, None],
+        cols[:, None, :]] = R
+    return out.reshape(k * n, p, q + 1)
+
+
+def _safe_rows(lam: np.ndarray, V: np.ndarray, tol_pole: float) -> np.ndarray:
+    """Rows whose unreduced eigenbasis may give their poles and residues.
+
+    ``lam`` and ``V`` are the stacked eigenvalues and eigenvectors of the
+    row systems.  A row is safe when every eigenvalue is exactly real, no
+    two lie within ``tol_pole`` of each other and cond(V_i) <= 1/TOL_RANK;
+    ``compute_dsf`` says why.
+    """
+    gaps = np.diff(np.sort(lam.real, axis=1), axis=1)
+    return ((lam.imag == 0.0).all(axis=1) & (gaps > tol_pole).all(axis=1)
+            & (np.linalg.cond(V) <= 1.0 / TOL_RANK))
+
+
+def _reduced_row(i: int, A: np.ndarray, B: np.ndarray, tol_pole: float):
+    """Poles and residues of row i from its minimal part, by ``kalman_reduce``."""
+    A, B, C = kalman_reduce(A, B, np.eye(1, A.shape[0]))
+    lam, V = np.linalg.eig(A)
+    if lam.size > 1 and np.linalg.cond(V) > 1.0 / TOL_RANK:
+        # a cyclic row has a defective eigenvalue only as a multiple pole
+        raise RepeatedPole(f"row {i} of [Q P] has a repeated pole")
+    if np.any(np.abs(lam.imag) > tol_pole):
+        raise ComplexPolesUnsupported(
+            f"row {i} of [Q P] has complex poles; only real poles are supported")
+    return lam.real, ((C @ V).T * np.linalg.solve(V, B)).real
+
+
+def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF:
+    """Dynamical structure function of a partitioned realization.
+
+    Row i of [Q P] is the transfer of the row system (A_i, B_i, e_1) of
+    ``_row_systems``, with 1 + h states.  One eigendecomposition of all
+    the A_i, stacked, A_i = V_i diag(lam_i) V_i^(-1), gives every row's
+    poles and residues (e_1 V_i)^T o (V_i^(-1) B_i), with no reduction and
+    no rational arithmetic: a mode the row cannot see gets a residue at
+    rounding level, which the floor below drops.  That needs a safe
+    eigenbasis, so a row goes through the staircase, ``kalman_reduce``,
+    instead when
+      - an eigenvalue is not exactly real: only the minimal part shows
+        whether the row sees a complex mode, or drops it;
+      - two eigenvalues lie within ``tol_pole``: two hidden modes at one
+        pole, of which the row may see one, make one simple pole only
+        in the minimal part;
+      - cond(V_i) > 1/TOL_RANK: a defective eigenvalue is a multiple pole
+        only if the row sees its whole Jordan block;
+      - its largest residue, relative to its column of B_i, is at or
+        below TOL_RANK: a floor relative to that largest would keep
+        rounding noise as modes, so the staircase's rank tests decide
+        what such a row sees.
+    The staircase leaves the minimal part, which has one output and so
+    is cyclic; there eigenvectors with condition number above 1/TOL_RANK
+    mark a multiple pole and raise RepeatedPole, and a complex eigenvalue
+    raises ComplexPolesUnsupported.  On either path residues at or below
+    TOL_RANK times the row's largest count as zero, each taken relative
+    to the norm of its column of B_i, so that neither this floor nor the
+    staircase depends on the units of an input or a coupling.  The rows'
+    poles and residues, stacked, go to ``DSF.from_modes``; two of them in
+    one entry and one chained pole of [Q P] are, in a cyclic row, a
+    multiple pole.
+    """
+    p = part.p
+    A, B = _row_systems(part)
+    norms = column_norms(B)
+    lam, V = np.linalg.eig(A)
+    rows = np.flatnonzero(_safe_rows(lam, V, tol_pole))
+    V = V[rows].real
+    R = V[:, 0, :, None] * np.linalg.solve(V, B[rows])
+    # a row that sees nothing above rounding level is for the staircase to judge
+    seen = np.max(np.abs(R) / norms[rows, None, :], axis=(1, 2), initial=0.0) > TOL_RANK
+    rows, R = rows[seen], R[seen]
+    lams = [lam[rows].real.ravel()]
+    Rs = [_in_qp(rows, _floor_residues(R, norms[rows]), p)]
+    for i in np.setdiff1d(np.arange(p), rows):
+        lam_i, R_i = _reduced_row(i, A[i], B[i], tol_pole)
+        lams.append(lam_i)
+        Rs.append(_in_qp(np.array([i]), _floor_residues(R_i, norms[i])[None], p))
     return DSF.from_modes(np.concatenate(lams), np.concatenate(Rs), tol_pole)
 
 
@@ -328,9 +409,8 @@ def consistency_check(part: PartitionedRealization, d: DSF,
         raise ShapeMismatch(
             f"realization is {part.p}x{part.m}, structure function {d.p}x{d.m}")
     p, h = part.p, part.h
-    rows = np.array([[i, *range(p, p + h)] for i in range(p)])
-    A_rows = part.assemble().A[rows[:, :, None], rows[:, None, :]]
-    poles = [d.poles, np.linalg.eigvals(part.A22), np.linalg.eigvals(A_rows).ravel()]
+    poles = [d.poles, np.linalg.eigvals(part.A22),
+             np.linalg.eigvals(_row_systems(part)[0]).ravel()]
     s = np.asarray(off_pole_points(np.concatenate(poles), 16))
     if d.modes is None:
         want = rmat_eval(d.qp(), s)

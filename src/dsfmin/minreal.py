@@ -30,8 +30,8 @@ from .sslib import (
     TOL_RANK,
     PartitionedRealization,
     StateSpace,
+    factor_signs,
     is_invariant_zero,
-    rank_factorization,
 )
 
 TOL_ORTH = 1e-8
@@ -129,22 +129,21 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     poles = d.poles[::-1]
     residues = d.residues[::-1]
     D1 = sum(residues, np.zeros((d.p, d.p + d.m)))
-    E_list, F_list = [], []
-    for lam, K in zip(poles, residues):
-        K = (lam - a) * K
-        E, F, r = rank_factorization(K, tol_rank)
+    K = (np.array(poles) - a)[:, None, None] * residues
+    U, sv, _ = np.linalg.svd(K)
+    ranks = np.sum(sv > tol_rank * sv[:, :1], axis=1)
+    for lam, r in zip(poles, ranks):
         if r > 1:
             raise ResidueRankExceedsOne(
                 f"residue at pole {lam} has rank {r} > 1; shared poles whose "
                 "residues stack rank are outside the implemented algorithm")
         if r == 0:
             raise ValueError(f"residue at pole {lam} vanished unexpectedly")
-        Evec = E[:, 0]
-        # F per the factorization convention (E^T E)^(-1) E^T K
-        Frow = (Evec @ K) / float(Evec @ Evec)
-        E_list.append(Evec)
-        F_list.append(Frow)
-    return GilbertData(poles, E_list, F_list, D1, a, d.p, d.m)
+    E = U[:, :, :1] * sv[:, None, :1]
+    E = (E * factor_signs(K, E)[:, None, :])[:, :, 0]
+    # F per the factorization convention (E^T E)^(-1) E^T K
+    F = (E[:, None, :] @ K)[:, 0, :] / np.sum(E * E, axis=1)[:, None]
+    return GilbertData(poles, list(E), list(F), D1, a, d.p, d.m)
 
 
 def _support(E: np.ndarray, tol_orth: float) -> frozenset:

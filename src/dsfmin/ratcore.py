@@ -668,6 +668,22 @@ def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatri
     return RationalMatrix(out)
 
 
+def _horner(coeffs: list, pts: np.ndarray) -> np.ndarray:
+    """Each polynomial of ascending ``coeffs`` at ``pts``, polynomials x points.
+
+    One Horner pass over the coefficients, stacked and zero-padded at the
+    high-degree end.  A padded step leaves the running value at zero, so
+    each value is bit-identical to ``Polynomial.__call__``.
+    """
+    c = np.zeros((len(coeffs), max((x.size for x in coeffs), default=1)))
+    for k, x in enumerate(coeffs):
+        c[k, :x.size] = x
+    v = np.zeros((len(coeffs), pts.size), dtype=np.result_type(c, pts))
+    for k in range(c.shape[1] - 1, -1, -1):
+        v = c[:, k, None] + v * pts
+    return v
+
+
 def rmat_eval(M: RationalMatrix, s, tol_pole: float = TOL_POLE) -> np.ndarray:
     """Entrywise value of M at the point s, or at each point of an array s.
 
@@ -685,7 +701,10 @@ def rmat_eval(M: RationalMatrix, s, tol_pole: float = TOL_POLE) -> np.ndarray:
         point = pts[np.argwhere(at_pole)[0, 1]]
         i, j = next((i, j) for i, j, r in den_roots if np.any(np.abs(r - point) <= tol_pole))
         raise EvaluationAtPole(f"s0={point} is a pole of entry ({i}, {j})")
-    out = np.moveaxis(np.array([[e(pts) for e in row] for row in M.entries]), -1, 0)
+    entries = [e for row in M.entries for e in row]
+    values = (_horner([e.num.coeffs for e in entries], pts)
+              / _horner([e.den.coeffs for e in entries], pts))
+    out = np.moveaxis(values.reshape(M.rows, M.cols, pts.size), -1, 0)
     if np.iscomplexobj(out) and not np.any(out.imag):
         out = out.real
     return out if s.ndim else out[0]

@@ -242,8 +242,11 @@ def _reachable_basis(A: np.ndarray, B: np.ndarray, scale_b: float,
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of M, with 1 for a zero column."""
-    norms = np.linalg.norm(M, axis=0)
+    """Euclidean norm of each column of M, with 1 for a zero column.
+
+    A stack of matrices gives the norms of each matrix's columns.
+    """
+    norms = np.linalg.norm(M, axis=-2)
     norms[norms == 0.0] = 1.0
     return norms
 
@@ -270,29 +273,32 @@ def kalman_reduce(A, B, C):
     return Z.T @ Ar @ Z, Z.T @ Br, Cr @ Z
 
 
+def factor_signs(K: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Sign, +1 or -1, that makes each column of E deterministic.
+
+    A column is flipped when the sign of its largest-magnitude entry
+    differs from the sign of the dominant entry of K's dominant column.
+    K and E may be stacks, (..., p, q) and (..., p, r); the signs are
+    (..., r), so ``E * signs[..., None, :]`` applies them.
+    """
+    dom_col = np.argmax(np.max(np.abs(K), axis=-2), axis=-1)
+    col = np.take_along_axis(K, dom_col[..., None, None], axis=-1)[..., 0]
+    dom = np.take_along_axis(col, np.argmax(np.abs(col), axis=-1)[..., None], axis=-1)
+    peak = np.take_along_axis(E, np.argmax(np.abs(E), axis=-2)[..., None, :], axis=-2)[..., 0, :]
+    return np.where((peak < 0) != (dom < 0), -1.0, 1.0)
+
+
 def rank_factorization(K: np.ndarray, tol_rank: float = TOL_RANK):
     """Factor K = E F with E of full column rank, deterministic signs.
 
-    E holds left singular vectors scaled by their singular values; each
-    column is flipped so that the sign of its largest-magnitude entry
-    equals the sign of the dominant entry of K's dominant column.
+    E holds left singular vectors scaled by their singular values, each
+    column signed by ``factor_signs``.
     """
     U, sv, Vt = np.linalg.svd(K)
     r = _rank(sv, tol_rank)
     E = U[:, :r] * sv[:r]
-    F = Vt[:r, :].copy()
-    if r == 0:
-        return E, F, 0
-    col_mags = np.max(np.abs(K), axis=0)
-    dom_col = int(np.argmax(col_mags))
-    dom_row = int(np.argmax(np.abs(K[:, dom_col])))
-    want_negative = K[dom_row, dom_col] < 0
-    for j in range(r):
-        k = int(np.argmax(np.abs(E[:, j])))
-        if (E[k, j] < 0) != want_negative:
-            E[:, j] = -E[:, j]
-            F[j, :] = -F[j, :]
-    return E, F, r
+    signs = factor_signs(K, E)
+    return E * signs, Vt[:r] * signs[:, None], r
 
 
 def gilbert_from_pole_residue(prf: PoleResidueForm, tol_rank: float = TOL_RANK) -> StateSpace:

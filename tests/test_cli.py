@@ -374,6 +374,26 @@ class TestNonFiniteAndNonPositive:
                      "--out-dir", str(tmp_path)]) == 3
 
 
+class TestNoInput:
+    """A dsf_pole_residue file whose KP has no column states no input."""
+
+    DATA = {"kind": "dsf_pole_residue", "poles": [-1.0], "KQ": [[[0, 1], [0, 0]]],
+            "KP": [[[], []]]}
+
+    @pytest.mark.parametrize("command", ["minreal", "graph"])
+    def test_exits_3_naming_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "no_input.json"
+        path.write_text(json.dumps(self.DATA))
+        with pytest.raises(SchemaError, match="at least one input"):
+            parse_model(str(path))
+        argv = [command, str(path)]
+        if command == "minreal":
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 class TestSearchOptions:
     """One compatibility rule, an automatic shift and a fixed free value."""
 

@@ -31,7 +31,12 @@ from dsfmin import (
 )
 from dsfmin import dsf, minreal, ratcore
 from dsfmin.cli import main
-from dsfmin.errors import ComplexPolesUnsupported, RepeatedPole, ShapeMismatch
+from dsfmin.errors import (
+    AssumptionError,
+    ComplexPolesUnsupported,
+    RepeatedPole,
+    ShapeMismatch,
+)
 
 from conftest import (
     ZERO,
@@ -431,6 +436,121 @@ class TestRowRealization:
             result = minreal_pipeline(compute_dsf(part))
             assert result.order <= 13
             assert all(r.consistent for r in result.realizations)
+
+
+def _row_realization_models():
+    """The partitions of TestRowRealization's hand-built cases, with the
+    first draws of its similar Jordan blocks and of its scaled relay
+    blocks, and two rows that only the staircase judges as it does."""
+    models = [
+        ([[-1., 0., 1., 1.], [0., -2., 0., 0.], [0., 1., -3., 0.], [0., 0., 0., -3.]],
+         [[0.], [1.], [0.], [1.]], 2),                                  # shared pole
+        ([[-1., 1., 0.], [0., -3., 1.], [0., 0., -3.]], [[0.], [0.], [1.]], 1),  # Jordan
+        ([[-1., 1., 0.], [0., -1., 2.], [0., -2., -1.]], [[0.], [0.], [1.]], 1),  # complex
+        ([[-1., 5e-7], [0., -1.0 + 5e-7]], [[1., 1.], [0., 1.]], 1),    # close poles
+        ([[-1., 1.], [1., -2.]], [[1e-9], [0.]], 2),                    # small input
+    ]
+    for A22 in ([[-1., 2.], [-2., -1.]], [[-3., 1.], [0., -3.]]):      # modes no row sees
+        A = np.zeros((4, 4))
+        A[:2, :2] = [[-1., 0.], [0.5, -2.]]
+        A[2, 0] = 1.0
+        A[2:, 2:] = A22
+        models.append((A, [[1.], [0.], [1.], [1.]], 2))
+    # two eigenvalues 1e-5 apart, beyond tol_pole, with an eigenbasis of
+    # condition 2e9: the reduced row judges them a repeated pole
+    models.append(([[-1., 1e4], [0., -1. - 1e-5]], [[0.], [1.]], 1))
+    # y1 sees the hidden states only through couplings at rounding level
+    A = np.zeros((5, 5))
+    A[:2, :2] = np.diag([-1., -2.])
+    A[2:, 2:] = [[-4., 1., 0.], [0.5, -5., 1.], [0., 0.3, -6.]]
+    A[1, 2:] = [1., 0.5, -0.7]
+    A[0, 2:] = [1e-17, -2e-17, 1.5e-17]
+    models.append((A, [[0.], [1.], [0.4], [-0.3], [0.8]], 2))
+    parts = [_partition(*m) for m in models]
+    rng = np.random.default_rng(1)
+    for lam in (0.0, -1.0, -3.0):
+        J = lam * np.eye(3) + np.diag([1.0, 1.0], 1)
+        for _ in range(5):
+            S = rng.standard_normal((3, 3))
+            parts.append(_partition(S @ J @ np.linalg.inv(S), rng.standard_normal((3, 1)), 1))
+    relay_blocks = _relay_blocks()
+    rng = np.random.default_rng(13)
+    for size in ((3, 2), (4, 3), (5, 4)):
+        b = relay_blocks(rng, *size, 2)
+        scale = np.array([1e-9, 1e9])
+        parts.append(PartitionedRealization(b.A11, b.A12, b.A21, b.A22,
+                                            b.B1 * scale, b.B2 * scale))
+    return parts
+
+
+class TestStackedRows:
+    """compute_dsf's one eigendecomposition of the stacked row systems
+    against the staircase, ``kalman_reduce``, of every row."""
+
+    RELAY_SIZES = ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (4, 6), (6, 6), (5, 8), (6, 8),
+                   (6, 10), (8, 12))
+
+    @staticmethod
+    def outcome(part):
+        try:
+            return compute_dsf(part)
+        except AssumptionError as exc:  # compared by class with the other path
+            return type(exc)
+
+    @classmethod
+    def relay_parts(cls, rng, per_size):
+        relay_blocks = _relay_blocks()
+        return [PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
+                for size in cls.RELAY_SIZES for b in (relay_blocks(rng, *size, 2)
+                                                       for _ in range(per_size))]
+
+    def test_every_row_agrees_with_its_staircase(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        parts = [*self.relay_parts(rng, 8), *_row_realization_models()]
+        parts += [random_partition(rng, int(rng.integers(1, 6)), int(rng.integers(0, 5)),
+                                   int(rng.integers(1, 3))) for _ in range(40)]
+        stacked = [self.outcome(part) for part in parts]
+        monkeypatch.setattr(dsf, "_safe_rows",
+                            lambda lam, V, tol_pole: np.zeros(len(lam), dtype=bool))
+        raised = 0
+        for part, got in zip(parts, stacked):
+            want = self.outcome(part)
+            if isinstance(want, type) or isinstance(got, type):
+                assert got == want
+                raised += 1
+                continue
+            assert np.allclose(got.poles, want.poles, rtol=1e-9, atol=1e-12)
+            assert np.array_equal(got.residues != 0.0, want.residues != 0.0)
+            for i in range(part.p):
+                scale = np.max(np.abs(want.residues[:, i]), initial=0.0)
+                assert np.max(np.abs(got.residues[:, i] - want.residues[:, i]),
+                              initial=0.0) <= 1e-9 * scale
+        assert raised >= 3  # at least the hand-built Jordan, complex and near-defective cases
+
+    def test_staircase_runs_only_for_rows_the_stacked_path_cannot_judge(self, monkeypatch):
+        calls = Counter()
+        reduce = dsf.kalman_reduce
+
+        def counted(*args):
+            calls["kalman_reduce"] += 1
+            return reduce(*args)
+
+        monkeypatch.setattr(dsf, "kalman_reduce", counted)
+        for part in self.relay_parts(np.random.default_rng(59), 3):
+            compute_dsf(part)
+        assert calls["kalman_reduce"] == 0
+        models = _row_realization_models()
+        shared, jordan, unseen_complex, near_defective, rounding = (
+            models[k] for k in (0, 1, 5, 7, 8))
+        for part in (shared, unseen_complex, rounding):
+            calls.clear()
+            compute_dsf(part)
+            assert calls["kalman_reduce"] > 0
+        for part in (jordan, near_defective):
+            calls.clear()
+            with pytest.raises(RepeatedPole):
+                compute_dsf(part)
+            assert calls["kalman_reduce"] > 0
 
 
 class TestCarriedRowData:

@@ -29,7 +29,13 @@ from dsfmin.errors import (
     ResidueRankExceedsOne,
 )
 from dsfmin.minreal import CompatGraph, GilbertData, _assemble
-from dsfmin.sslib import TOL_RANK, PartitionedRealization, StateSpace, _transfer_normal_rank
+from dsfmin.sslib import (
+    TOL_RANK,
+    PartitionedRealization,
+    StateSpace,
+    _transfer_normal_rank,
+    rank_factorization,
+)
 
 from conftest import (
     EX2_D1,
@@ -105,6 +111,26 @@ class TestExtractModes:
     def test_shift_on_a_pole_rejected(self, ex2_dsf):
         with pytest.raises(ValueError, match="coincides with a pole"):
             extract_modes(ex2_dsf, shift=-2.0)
+
+    def test_factors_are_rank_factorization_of_each_residue(self, ex2_dsf, origin_pole_dsf):
+        # one stacked SVD and one sign rule give what rank_factorization gives per pole
+        rng = np.random.default_rng(19)
+        dsfs = [ex2_dsf, origin_pole_dsf, *(random_dsf(rng, 4, 2, l) for l in (2, 5, 8))]
+        relay_blocks = _relay_blocks()
+        for size in ((3, 2), (5, 4), (8, 12)):
+            b = relay_blocks(rng, *size, 2)
+            dsfs.append(compute_dsf(PartitionedRealization(b.A11, b.A12, b.A21, b.A22,
+                                                           b.B1, b.B2)))
+        for d in dsfs:
+            g = extract_modes(d)
+            assert g.poles == d.poles[::-1]
+            for lam, K, E, F in zip(g.poles, d.residues[::-1], g.E, g.F):
+                K = (lam - g.shift) * K
+                E1, F1, r = rank_factorization(K)
+                assert r == 1
+                assert np.array_equal(E, E1[:, 0])
+                # (E^T E)^(-1) E^T K is the right singular vector when K has rank 1
+                assert np.allclose(F, F1[0], rtol=0.0, atol=1e-9)
 
     def test_rank_two_residue_rejected(self):
         # two rows sharing one pole with independent row factors

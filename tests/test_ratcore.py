@@ -32,7 +32,7 @@ from dsfmin.errors import (
 )
 from dsfmin.ratcore import S_POLY, from_known_poles
 
-from conftest import EX2_D1, ZERO, rf, rmat
+from conftest import EX2_D1, ZERO, random_dsf, rf, rmat
 
 
 def _ex2_qp():
@@ -342,6 +342,28 @@ class TestRmatEval:
         M = rmat([[([1], [1, 1])]])
         with pytest.raises(EvaluationAtPole):
             rmat_eval(M, -1.0)
+
+    def test_bit_identical_to_each_entry(self, ex2_dsf):
+        # one zero-padded Horner pass gives exactly what each entry gives alone
+        rng = np.random.default_rng(17)
+        dsfs = [random_dsf(rng, 4, 2, l) for l in (2, 4, 8, 12, 16) for _ in range(3)]
+        dsfs.append(ex2_dsf)
+        # a dsf_coeff model whose entries differ in degree, so most are padded
+        dsfs.append(DSF(rmat([[ZERO, ([0.5, -1.0, 2.0], [6.0, 11.0, 6.0, 1.0])],
+                              [([1.0], [5.0, 1.0]), ZERO]]),
+                        rmat([[([1.0], [4.0, 1.0])], [ZERO]])))
+        for d in dsfs:
+            M = d.qp()
+            for s in (np.array([0.3 + 1.1j, -0.7 + 2.3j, 5.0 - 1.0j]),
+                      np.linspace(20.0, 35.0, 16), np.array([2.5])):
+                got = rmat_eval(M, s)
+                want = np.moveaxis(np.array([[e(s) for e in row] for row in M.entries]), -1, 0)
+                if np.iscomplexobj(want) and not np.any(want.imag):
+                    want = want.real
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert rmat_eval(M, 2.5).tobytes() == np.array(
+                [[e(2.5) for e in row] for row in M.entries]).tobytes()
 
 
 class TestRmatInverse:
