@@ -270,10 +270,9 @@ def build_report(d: DSF, result) -> str:
     degree is the order ``kalman_reduce`` leaves of it.
     """
     g = result.gilbert
-    C = np.array(g.E).reshape(g.l, d.p).T
-    B = np.array([F / (lam - g.shift)
-                  for lam, F in zip(g.poles, g.F)]).reshape(g.l, d.p + d.m)
-    A = np.diag(g.poles).reshape(g.l, g.l) + B[:, :d.p] @ C
+    C = g.E.T
+    B = g.F / (np.array(g.poles, dtype=float) - g.shift)[:, None]
+    A = np.diag(g.poles) + B[:, :d.p] @ C
     degree = kalman_reduce(A, B[:, d.p:], C)[0].shape[0]
     out = [f"measured states p = {d.p}, inputs m = {d.m}",
            f"poles of [Q P] (l = {result.l}): " + ", ".join(_fmt(x) for x in g.poles),
@@ -297,40 +296,29 @@ def build_report(d: DSF, result) -> str:
 # -- graph export -----------------------------------------------------------
 
 
+def _edges(adj, src, dst) -> list:
+    """``(src[j], dst[i])`` for every nonzero ``adj[i, j]``, row by row."""
+    return [(src[j], dst[i]) for i, j in zip(*np.nonzero(adj))]
+
+
 def _dsf_graph(d: DSF):
+    """Nodes and edges of [Q P]; Q's diagonal is zero, so no self-loop."""
     bs = boolean_structure(d)
-    nodes = [(f"y{i + 1}", "measured") for i in range(d.p)] + \
-            [(f"u{j + 1}", "input") for j in range(d.m)]
-    edges = []
-    for i in range(d.p):
-        for j in range(d.p):
-            if i != j and bs.q_adj[i, j]:
-                edges.append((f"y{j + 1}", f"y{i + 1}"))
-    for i in range(d.p):
-        for j in range(d.m):
-            if bs.p_adj[i, j]:
-                edges.append((f"u{j + 1}", f"y{i + 1}"))
-    return nodes, edges
+    ys = [f"y{i + 1}" for i in range(d.p)]
+    us = [f"u{j + 1}" for j in range(d.m)]
+    nodes = [(y, "measured") for y in ys] + [(u, "input") for u in us]
+    return nodes, _edges(bs.q_adj, ys, ys) + _edges(bs.p_adj, us, ys)
 
 
 def _realization_graph(part: PartitionedRealization):
     ss = part.assemble()
-    p, h, m = part.p, part.h, part.m
-    names = [f"y{i + 1}" for i in range(p)] + [f"z{i + 1}" for i in range(h)]
+    p = part.p
+    names = [f"y{i + 1}" for i in range(p)] + [f"z{i + 1}" for i in range(part.h)]
+    us = [f"u{j + 1}" for j in range(part.m)]
     nodes = [(n, "measured") for n in names[:p]] + \
-            [(n, "hidden") for n in names[p:]] + \
-            [(f"u{j + 1}", "input") for j in range(m)]
+            [(n, "hidden") for n in names[p:]] + [(u, "input") for u in us]
     thr = TOL_STRUCT * max(float(np.max(np.abs(ss.A))), float(np.max(np.abs(ss.B))), 1.0)
-    edges = []
-    for i in range(p + h):
-        for j in range(p + h):
-            if abs(ss.A[i, j]) > thr:
-                edges.append((names[j], names[i]))
-    for i in range(p + h):
-        for j in range(m):
-            if abs(ss.B[i, j]) > thr:
-                edges.append((f"u{j + 1}", names[i]))
-    return nodes, edges
+    return nodes, _edges(np.abs(ss.A) > thr, names, names) + _edges(np.abs(ss.B) > thr, us, names)
 
 
 def render_dot(nodes, edges) -> str:

@@ -374,16 +374,16 @@ def structure_limits(d: DSF) -> StructureLimits:
     return StructureLimits(lim[:, :d.p], lim[:, d.p:])
 
 
-def boolean_structure(d: DSF, tol_struct: float = TOL_STRUCT) -> BooleanStructure:
+def boolean_structure(d: DSF) -> BooleanStructure:
     """Boolean adjacency of [Q, P].
 
     An entry counts as present when its largest residue exceeds
-    tol_struct times the largest over [Q P].  Unlike numerator
+    ``TOL_STRUCT`` (1e-9) times the largest over [Q P].  Unlike numerator
     coefficients, residues do not scale with the product of an entry's
     poles, so fast poles in one entry hide no slow link in another.
     """
     peak = np.max(np.abs(d.residues), axis=0, initial=0.0)
-    present = peak > tol_struct * np.max(peak, initial=0.0)
+    present = peak > TOL_STRUCT * np.max(peak, initial=0.0)
     return BooleanStructure(present[:, :d.p], present[:, d.p:])
 
 

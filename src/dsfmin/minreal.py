@@ -43,19 +43,24 @@ FREE_VALUE = -1.0
 class GilbertData:
     """Per-pole rank-1 data of the (possibly shifted) matrix [sQ sP].
 
-    Poles are listed in descending value; E_i is the p-vector column
-    factor of residue K_i = E_i F_i and F_i the (p+m)-row factor.  When a
-    pole of [Q P] sits at the origin the working factor is (s - shift)
-    with shift chosen off all poles; shift is 0 otherwise.
+    Poles are listed in descending value.  Row i of E, l x p, is the
+    column factor E_i of residue K_i = E_i F_i and row i of F, l x (p+m),
+    the row factor F_i; lists of vectors are stacked into those arrays.
+    When a pole of [Q P] sits at the origin the working factor is
+    (s - shift) with shift chosen off all poles; shift is 0 otherwise.
     """
 
     poles: list
-    E: list
-    F: list
+    E: np.ndarray
+    F: np.ndarray
     D1: np.ndarray
     shift: float
     p: int
     m: int
+
+    def __post_init__(self):
+        self.E = np.asarray(self.E, dtype=float).reshape(self.l, self.p)
+        self.F = np.asarray(self.F, dtype=float).reshape(self.l, self.p + self.m)
 
     @property
     def l(self) -> int:
@@ -143,12 +148,13 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     E = (E * factor_signs(K, E)[:, None, :])[:, :, 0]
     # F per the factorization convention (E^T E)^(-1) E^T K
     F = (E[:, None, :] @ K)[:, 0, :] / np.sum(E * E, axis=1)[:, None]
-    return GilbertData(poles, list(E), list(F), D1, a, d.p, d.m)
+    return GilbertData(poles, E, F, D1, a, d.p, d.m)
 
 
-def _support(E: np.ndarray, tol_orth: float) -> frozenset:
-    scale = float(np.max(np.abs(E)))
-    return frozenset(np.flatnonzero(np.abs(E) > tol_orth * scale).tolist())
+def _supports(g: GilbertData, tol_orth: float) -> np.ndarray:
+    """l x p booleans: component j of E_i is above tol_orth times E_i's largest."""
+    mag = np.abs(g.E)
+    return mag > tol_orth * np.max(mag, axis=1, keepdims=True)
 
 
 def compatibility_graph(g: GilbertData, tol_orth: float = TOL_ORTH) -> CompatGraph:
@@ -158,10 +164,9 @@ def compatibility_graph(g: GilbertData, tol_orth: float = TOL_ORTH) -> CompatGra
     tol_orth times the vector's largest) do not overlap: R is diagonal,
     so exactly then can one R remove both poles.
     """
-    supports = [_support(E, tol_orth) for E in g.E]
-    edges = [(i, j) for i in range(g.l) for j in range(i + 1, g.l)
-             if not (supports[i] & supports[j])]
-    return CompatGraph(g.l, edges)
+    S = _supports(g, tol_orth).astype(int)
+    disjoint = np.triu(S @ S.T == 0, 1)
+    return CompatGraph(g.l, [(int(i), int(j)) for i, j in zip(*np.nonzero(disjoint))])
 
 
 def _bron_kerbosch(adj, r, p, x, out):
@@ -220,10 +225,11 @@ def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar
     ``compatibility_graph``) demand two values at once and raise
     ConflictingAssignment.
     """
+    support = _supports(g, tol_orth)
     entries = [None] * g.p
     for i in clique:
         lam = g.poles[i]
-        for j in sorted(_support(g.E[i], tol_orth)):
+        for j in np.flatnonzero(support[i]).tolist():
             if entries[j] is not None and entries[j] != lam:
                 raise ConflictingAssignment(
                     f"diagonal position {j} is claimed by poles {entries[j]} and "
@@ -232,21 +238,21 @@ def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar
     return RStar(tuple(entries))
 
 
-def cancellation_check(g: GilbertData, r) -> list:
+def cancellation_check(g: GilbertData, r: RStar) -> list:
     """Per-pole flags: True where N(lam_i) E_i vanishes (pole removed).
 
-    N(lam_i) acts entrywise as (lam_i - r_j) / (lam_i - a); a flag is set
-    when |N(lam_i) E_i| is at most TOL_CANCEL times max |E_i|.
+    N(lam_i) acts entrywise as (lam_i - r_j) / (lam_i - a), with r the
+    materialized R; a flag is set when |N(lam_i) E_i| is at most
+    TOL_CANCEL times max |E_i|.
     """
-    rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
-    flags = []
-    for lam, E in zip(g.poles, g.E):
-        if abs(lam - g.shift) < 1e-9:
-            raise PoleAtZeroWithoutShift(
-                f"cannot evaluate the cancellation factor at pole {lam} with shift {g.shift}")
-        nv = (lam - rvec) / (lam - g.shift)
-        flags.append(bool(np.max(np.abs(nv * E)) <= TOL_CANCEL * np.max(np.abs(E))))
-    return flags
+    lam = np.array(g.poles, dtype=float)
+    at_shift = np.flatnonzero(np.abs(lam - g.shift) < 1e-9)
+    if at_shift.size:
+        raise PoleAtZeroWithoutShift(
+            f"cannot evaluate the cancellation factor at pole {g.poles[at_shift[0]]} "
+            f"with shift {g.shift}")
+    nv = (lam[:, None] - r.materialize()) / (lam - g.shift)[:, None]
+    return (np.max(np.abs(nv * g.E), axis=1) <= TOL_CANCEL * np.max(np.abs(g.E), axis=1)).tolist()
 
 
 def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
@@ -256,38 +262,37 @@ def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
     mode gives the full cascade, where a cancelled pole stays as an
     unobservable state.
     """
-    p, m = g.p, g.m
+    p = g.p
+    lam = np.array(g.poles, dtype=float)[keep]
     A11 = g.D1[:, :p].copy()
     np.fill_diagonal(A11, 0.0)
     A11 += np.diag(rvec)
-    h = len(keep)
-    A12 = (np.column_stack([(g.poles[i] - rvec) / (g.poles[i] - g.shift) * g.E[i]
-                            for i in keep]) if h else np.zeros((p, 0)))
-    A21 = np.array([g.F[i][:p] for i in keep]).reshape(h, p)
-    B2 = np.array([g.F[i][p:] for i in keep]).reshape(h, m)
-    A22 = np.diag([g.poles[i] for i in keep]).reshape(h, h)
-    return PartitionedRealization(A11, A12, A21, A22, g.D1[:, p:].copy(), B2)
+    A12 = (lam - rvec[:, None]) / (lam - g.shift) * g.E[keep].T
+    return PartitionedRealization(A11, A12, g.F[keep, :p], np.diag(lam), g.D1[:, p:].copy(),
+                                  g.F[keep, p:])
 
 
-def realize(d: DSF, r: RStar, modes: GilbertData = None, *,
-            tol_rank: float = TOL_RANK) -> PartitionedRealization:
+def realize(d: DSF, r: RStar, modes: GilbertData = None) -> PartitionedRealization:
     """Consistent realization of d for a given diagonal matrix R.
 
     The measured block is fixed by the high-frequency limits plus R on
     the diagonal; the hidden block keeps one state per surviving pole.
     Pass precomputed modes to avoid re-extracting them.
     """
-    g = modes if modes is not None else extract_modes(d, tol_rank=tol_rank)
-    rvec = r.materialize() if isinstance(r, RStar) else np.asarray(r, dtype=float)
-    flags = cancellation_check(g, rvec)
-    return _assemble(g, rvec, [i for i, f in enumerate(flags) if not f])
+    g = modes if modes is not None else extract_modes(d)
+    flags = cancellation_check(g, r)
+    return _assemble(g, r.materialize(), [i for i, f in enumerate(flags) if not f])
 
 
 @dataclass
 class ZeroMatch:
-    """Zero agreement between the V-subsystem and the full realization."""
+    """Zero agreement between the V-subsystem and the full realization.
 
-    point: float
+    ``point`` is a cancelled pole, where a zero is expected, or the
+    complex control point, where none is.
+    """
+
+    point: complex
     v_zero: bool
     g_zero: bool
     expected: bool
@@ -326,12 +331,17 @@ def _zero_point_tests(g: GilbertData, flags, full: PartitionedRealization, tol_r
     Both tests run on the full (uncancelled) cascade, where a removed
     pole persists as an unobservable mode: the V-subsystem
     (A22, B2, A12, B1) and the assembled system lose Rosenbrock rank
-    together exactly at the cancelled poles.  ``is_invariant_zero`` tests
-    each system at all the points in one call.
+    together exactly at the cancelled poles.  The control point, where
+    neither may lose rank, is 0.5 (lam_0 + lam_1) + 0.5j |lam_0 - lam_1|
+    for the two largest poles.  It lies off the real axis, where a real
+    system has a zero only by coincidence; the real midpoint is a true
+    zero of 1/(s+1) + 1/(s+2), for one.  ``is_invariant_zero`` tests each
+    system at all the points in one call.
     """
     points = [(lam, True) for lam, flag in zip(g.poles, flags) if flag]
     if g.l >= 2:
-        points.append((0.5 * (g.poles[0] + g.poles[1]), False))
+        lam0, lam1 = g.poles[:2]
+        points.append((0.5 * (lam0 + lam1) + 0.5j * abs(lam0 - lam1), False))
     if not points:
         return []
     at = np.array([point for point, _ in points])
@@ -358,7 +368,7 @@ def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = T
     for clique in cl.cliques:
         rstar = construct_rstar(g, clique, tol_orth)
         rvec = rstar.materialize()
-        flags = cancellation_check(g, rvec)
+        flags = cancellation_check(g, rstar)
         keep = [i for i, f in enumerate(flags) if not f]
         part = _assemble(g, rvec, keep)
         full = part if len(keep) == g.l else _assemble(g, rvec, range(g.l))

@@ -14,11 +14,16 @@ above ``_CHOP_REL`` (1e-12) times the entry's largest residue.
 ``from_known_poles`` builds the same entries and has each keep its
 poles, so that ``poles()`` never finds them as denominator roots.
 
-Default tolerances; every operation that needs one accepts an override:
+Tolerances, each the default of the operations that take it as an
+argument and the constant of those that do not:
 
-* ``TOL_ROOT``  root matching / cancellation (1e-8)
-* ``TOL_POLE``  pole deduplication and realness (1e-6)
-* ``TOL_EVAL``  sample-point agreement, ``values_agree`` (1e-8)
+* ``TOL_ROOT``  root matching / cancellation (1e-8); ``RationalFunction``
+  takes it, its arithmetic and ``rat_reduce`` use the constant
+* ``TOL_POLE``  pole deduplication and realness (1e-6); ``rmat_poles`` and
+  ``residue_at`` take it, ``to_pole_residue`` and ``rmat_eval`` use the
+  constant
+* ``TOL_EVAL``  sample-point agreement (1e-8); ``values_agree`` and
+  ``rmat_equal`` take it
 """
 
 from __future__ import annotations
@@ -97,12 +102,12 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def chop(self, rel: float = _CHOP_REL) -> "Polynomial":
-        """Drop trailing coefficients that are tiny relative to the largest."""
+    def chop(self) -> "Polynomial":
+        """Drop trailing coefficients at or below ``_CHOP_REL`` times the largest."""
         scale = np.max(np.abs(self.coeffs))
         if scale == 0.0:
             return Polynomial([0.0])
-        keep = np.flatnonzero(np.abs(self.coeffs) > rel * scale)
+        keep = np.flatnonzero(np.abs(self.coeffs) > _CHOP_REL * scale)
         if not keep.size:
             return Polynomial([0.0])
         return self if keep[-1] + 1 == self.coeffs.size else Polynomial(self.coeffs[: keep[-1] + 1])
@@ -175,11 +180,11 @@ def _cancel_common_roots(nr, dr, tol_root):
     return keep_n, keep_d, cancelled
 
 
-def _real_coeffs(roots, imag_floor=1e-7):
+def _real_coeffs(roots):
     roots = sorted(roots, key=lambda z: (z.real, z.imag))  # canonical order
     c = npoly.polyfromroots(roots)
     scale = max(1.0, np.max(np.abs(c)))
-    if np.max(np.abs(c.imag)) > imag_floor * scale:
+    if np.max(np.abs(c.imag)) > 1e-7 * scale:
         raise ValueError("non-conjugate root set produced complex coefficients")
     return c.real
 
@@ -319,34 +324,32 @@ def _raw_ratfun(num: Polynomial, den: Polynomial, poles=None) -> RationalFunctio
     return obj
 
 
-def _add_over_lcm(f: RationalFunction, g: RationalFunction,
-                  tol_root: float = TOL_ROOT) -> RationalFunction:
+def _add_over_lcm(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     """Sum over the least common multiple of the factored denominators.
 
     Shared denominator roots are counted once, so sums never manufacture
     multiple roots that a later cancellation would have to resolve.
     """
     d1r = list(_realify(f.den.roots()))
-    d1_only, d2_only, _ = _cancel_common_roots(d1r, _realify(g.den.roots()), tol_root)
+    d1_only, d2_only, _ = _cancel_common_roots(d1r, _realify(g.den.roots()), TOL_ROOT)
     num = f.num * Polynomial(_real_coeffs(d2_only)) + \
         g.num * Polynomial(_real_coeffs(d1_only))
     den = Polynomial(_real_coeffs(d1r + d2_only))
-    return RationalFunction(num, den, tol_root)
+    return RationalFunction(num, den)
 
 
-def _combine(n1: Polynomial, n2: Polynomial, d1: Polynomial, d2: Polynomial,
-             tol_root: float = TOL_ROOT) -> RationalFunction:
+def _combine(n1: Polynomial, n2: Polynomial, d1: Polynomial, d2: Polynomial) -> RationalFunction:
     """Reduced product (n1 n2) / (d1 d2) of already-reduced fractions (see ``_reduced``)."""
     if n1.is_zero or n2.is_zero:
         return RationalFunction([0.0])
     if max(n1.degree(), n2.degree(), d1.degree(), d2.degree()) == 0:
         return _raw_ratfun(n1 * (n2.lead / (d1.lead * d2.lead)), Polynomial([1.0]))
-    return _raw_ratfun(*_reduced([n1, n2], [d1, d2], tol_root))
+    return _raw_ratfun(*_reduced([n1, n2], [d1, d2], TOL_ROOT))
 
 
-def rat_reduce(num, den, tol_root: float = TOL_ROOT) -> RationalFunction:
-    """Reduced rational function num/den with common roots cancelled."""
-    return RationalFunction(num, den, tol_root=tol_root)
+def rat_reduce(num, den) -> RationalFunction:
+    """Reduced rational function num/den with common roots cancelled at ``TOL_ROOT``."""
+    return RationalFunction(num, den)
 
 
 def values_agree(f, g, tol_eval: float = TOL_EVAL) -> bool:
@@ -528,13 +531,12 @@ def limit_at_infinity(M: RationalMatrix) -> np.ndarray:
     return D
 
 
-def to_pole_residue(M: RationalMatrix, tol_pole: float = TOL_POLE):
-    """Simple-pole expansion of a proper rational matrix."""
+def to_pole_residue(M: RationalMatrix):
+    """Simple-pole expansion of a proper rational matrix, poles chained at ``TOL_POLE``."""
     constant = limit_at_infinity(M)
-    poles = rmat_poles(M, tol_pole)
     kept_poles, residues = [], []
-    for lam in poles:
-        K = residue_at(M, lam, tol_pole)
+    for lam in rmat_poles(M):
+        K = residue_at(M, lam)
         if np.max(np.abs(K)) > 0.0:
             kept_poles.append(lam)
             residues.append(K)
@@ -684,22 +686,22 @@ def _horner(coeffs: list, pts: np.ndarray) -> np.ndarray:
     return v
 
 
-def rmat_eval(M: RationalMatrix, s, tol_pole: float = TOL_POLE) -> np.ndarray:
+def rmat_eval(M: RationalMatrix, s) -> np.ndarray:
     """Entrywise value of M at the point s, or at each point of an array s.
 
     An array gives the values stacked, points x rows x cols.  Every pole
     of every entry is tested against every point at once: one within
-    ``tol_pole`` raises EvaluationAtPole.  Values are real when no imaginary
+    ``TOL_POLE`` raises EvaluationAtPole.  Values are real when no imaginary
     part is nonzero.
     """
     s = np.asarray(s)
     pts = np.atleast_1d(s)
     den_roots = _all_den_roots(M)
     roots = np.concatenate([np.zeros(0), *(r for _, _, r in den_roots)])
-    at_pole = np.abs(roots[:, None] - pts) <= tol_pole
+    at_pole = np.abs(roots[:, None] - pts) <= TOL_POLE
     if at_pole.any():
         point = pts[np.argwhere(at_pole)[0, 1]]
-        i, j = next((i, j) for i, j, r in den_roots if np.any(np.abs(r - point) <= tol_pole))
+        i, j = next((i, j) for i, j, r in den_roots if np.any(np.abs(r - point) <= TOL_POLE))
         raise EvaluationAtPole(f"s0={point} is a pole of entry ({i}, {j})")
     entries = [e for row in M.entries for e in row]
     values = (_horner([e.num.coeffs for e in entries], pts)

@@ -5,7 +5,9 @@ characteristic polynomials of the minimal part of (A, b, c),
 det(sI - A + b c) - det(sI - A) over det(sI - A), each taken from
 eigenvalues.  ``kalman_reduce`` finds the minimal part of a state-space
 triple numerically, by an orthogonal staircase whose rank decisions are
-``_rank`` with ``TOL_RANK``.
+``_rank`` with ``TOL_RANK``.  Every rank decision here is taken at
+``TOL_RANK``, but for ``is_invariant_zero``, which takes its tolerance
+as an argument.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .errors import RankDeficientC, ShapeMismatch
 from .ratcore import (
-    TOL_POLE,
     PoleResidueForm,
     Polynomial,
     RationalMatrix,
@@ -179,7 +180,7 @@ def transfer_function(ss: StateSpace) -> RationalMatrix:
     return transfer_from_blocks(ss.A, ss.B, ss.C, ss.D)
 
 
-def output_normal_form(ss: StateSpace, tol_rank: float = TOL_RANK) -> PartitionedRealization:
+def output_normal_form(ss: StateSpace) -> PartitionedRealization:
     """Similarity transform to ([A], [B], [I_p 0]) preserving G.
 
     Uses T = [C; N] where the rows of N are an orthonormal basis of the
@@ -192,7 +193,7 @@ def output_normal_form(ss: StateSpace, tol_rank: float = TOL_RANK) -> Partitione
     if p > n:
         raise ShapeMismatch("more outputs than states")
     U, sv, Vt = np.linalg.svd(ss.C)
-    rank = _rank(sv, tol_rank)
+    rank = _rank(sv, TOL_RANK)
     if rank < p:
         raise RankDeficientC(f"C has rank {rank} < p = {p}")
     T = np.vstack([ss.C, Vt[p:, :]])
@@ -211,10 +212,6 @@ def _rank(sv: np.ndarray, tol_rank: float, scale: float = None) -> int:
     """
     ref = (sv[0] if sv.size else 0.0) if scale is None else scale
     return int(np.sum(sv > tol_rank * ref))
-
-
-def _matrix_rank(M: np.ndarray, tol_rank: float = TOL_RANK) -> int:
-    return _rank(np.linalg.svd(M, compute_uv=False), tol_rank)
 
 
 def _reachable_basis(A: np.ndarray, B: np.ndarray, scale_b: float,
@@ -288,20 +285,20 @@ def factor_signs(K: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.where((peak < 0) != (dom < 0), -1.0, 1.0)
 
 
-def rank_factorization(K: np.ndarray, tol_rank: float = TOL_RANK):
-    """Factor K = E F with E of full column rank, deterministic signs.
+def rank_factorization(K: np.ndarray):
+    """Factor K = E F with E of full column rank at ``TOL_RANK``, deterministic signs.
 
     E holds left singular vectors scaled by their singular values, each
     column signed by ``factor_signs``.
     """
     U, sv, Vt = np.linalg.svd(K)
-    r = _rank(sv, tol_rank)
+    r = _rank(sv, TOL_RANK)
     E = U[:, :r] * sv[:r]
     signs = factor_signs(K, E)
     return E * signs, Vt[:r] * signs[:, None], r
 
 
-def gilbert_from_pole_residue(prf: PoleResidueForm, tol_rank: float = TOL_RANK) -> StateSpace:
+def gilbert_from_pole_residue(prf: PoleResidueForm) -> StateSpace:
     """Minimal realization of sum_i K_i / (s - lam_i) + D, poles distinct.
 
     A is diagonal with each pole repeated rank(K_i) times; B and C stack
@@ -310,7 +307,7 @@ def gilbert_from_pole_residue(prf: PoleResidueForm, tol_rank: float = TOL_RANK) 
     system cannot be represented, it gets one decoupled state.
     """
     p, m = prf.shape
-    factors = [rank_factorization(K, tol_rank) for K in prf.residues]
+    factors = [rank_factorization(K) for K in prf.residues]
     ranks = [r for _, _, r in factors]
     if not sum(ranks):
         # no dynamics: represent the constant gain with one decoupled state
@@ -321,30 +318,29 @@ def gilbert_from_pole_residue(prf: PoleResidueForm, tol_rank: float = TOL_RANK) 
                       np.hstack([E for E, _, _ in factors]), prf.constant)
 
 
-def gilbert_realization(M: RationalMatrix, tol_pole: float = TOL_POLE,
-                        tol_rank: float = TOL_RANK) -> StateSpace:
+def gilbert_realization(M: RationalMatrix) -> StateSpace:
     """Minimal realization of a proper matrix with real simple poles.
 
     ``gilbert_from_pole_residue`` of the matrix's poles, residues and
     value at infinity.
     """
-    return gilbert_from_pole_residue(to_pole_residue(M, tol_pole), tol_rank)
+    return gilbert_from_pole_residue(to_pole_residue(M))
 
 
-def mcmillan_degree(M: RationalMatrix, tol_pole: float = TOL_POLE,
-                    tol_rank: float = TOL_RANK) -> int:
+def mcmillan_degree(M: RationalMatrix) -> int:
     """Sum of residue ranks of a proper matrix with real simple poles."""
-    prf = to_pole_residue(M, tol_pole)
-    return int(sum(_matrix_rank(K, tol_rank) for K in prf.residues))
+    return int(sum(_rank(np.linalg.svd(K, compute_uv=False), TOL_RANK)
+                   for K in to_pole_residue(M).residues))
 
 
-def normal_rank(M: RationalMatrix, points=None, tol_rank: float = TOL_RANK) -> int:
-    """Largest rank of M at off-pole sample points: one ``rmat_eval``, one stacked SVD."""
-    if points is None:
-        points = off_pole_points(np.concatenate([e.poles() for row in M.entries
-                                                 for e in row]), 8)
+def normal_rank(M: RationalMatrix) -> int:
+    """Largest rank of M, at ``TOL_RANK``, at the eight ``off_pole_points`` of its poles.
+
+    One ``rmat_eval`` at all eight, one stacked SVD.
+    """
+    points = off_pole_points(np.concatenate([e.poles() for row in M.entries for e in row]), 8)
     sv = np.linalg.svd(rmat_eval(M, np.asarray(points)), compute_uv=False)
-    return max(_rank(x, tol_rank) for x in sv)
+    return max(_rank(x, TOL_RANK) for x in sv)
 
 
 def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:

@@ -252,6 +252,18 @@ class TestMinrealCommand:
                 report = capsys.readouterr().out
                 assert "consistency: PASS" in report and "FAIL" not in report
 
+    @pytest.mark.parametrize("poles", [[-1.0, -2.0], [0.0, -1.0]])
+    def test_zero_at_real_midpoint_of_poles_passes(self, tmp_path, capsys, poles):
+        # P = 1/(s-a) + 1/(s-b) vanishes at the midpoint of its poles, which
+        # must not serve as the zero test's control point
+        path = tmp_path / "midpoint_zero.json"
+        path.write_text(json.dumps({"kind": "dsf_pole_residue", "poles": poles,
+                                    "KQ": [[[0]], [[0]]], "KP": [[[1]], [[1]]]}))
+        assert main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "consistency: PASS" in out
+        assert "zero agreement at cancelled poles: PASS" in out
+
     def test_missing_file_exits_3(self, capsys):
         assert main(["minreal", "/nonexistent/nowhere.json"]) == 3
 

@@ -379,6 +379,22 @@ class TestProperties:
             assert surviving == pytest.approx(expect)
 
 
+class TestControlPoint:
+    """The zero test's control point where the midpoint of the two largest poles is a zero."""
+
+    # P = 1/(s-a) + 1/(s-b) vanishes at (a+b)/2, the midpoint of its two poles
+    @pytest.mark.parametrize("poles", [[-1.0, -2.0], [0.0, -1.0]])
+    def test_zero_at_real_midpoint(self, poles):
+        d = DSF.from_modes(poles, [[[0.0, 1.0]], [[0.0, 1.0]]])
+        res = minreal_pipeline(d, enumerate_all=True)
+        assert res.realizations
+        for r in res.realizations:
+            assert r.consistent
+            controls = [c for c in r.zero_checks if not c.expected]
+            assert len(controls) == 1 and controls[0].point.imag > 0.0
+            assert all(c.ok for c in r.zero_checks)
+
+
 class TestBatchedZeroTests:
     """_zero_point_tests against one SVD per point and per system."""
 
@@ -391,7 +407,8 @@ class TestBatchedZeroTests:
         """(ZeroMatch fields, normal ranks) with one decomposition per point."""
         points = [(lam, True) for lam, flag in zip(g.poles, flags) if flag]
         if g.l >= 2:
-            points.append((0.5 * (g.poles[0] + g.poles[1]), False))
+            lam0, lam1 = g.poles[:2]
+            points.append((0.5 * (lam0 + lam1) + 0.5j * abs(lam0 - lam1), False))
         systems = [StateSpace(full.A22, full.B2, full.A12, full.B1), full.assemble()]
         ranks = []
         for ss in systems:
