@@ -12,10 +12,11 @@ transfer of a row system with 1 + h states.  One eigendecomposition of
 all p row systems, stacked, gives their poles and residues, and residues
 at or below TOL_RANK times the row's largest (each relative to its input
 column's norm) count as zero, which drops the modes a row cannot see.  A
-row whose eigenbasis cannot be trusted for that (an eigenvalue not
-exactly real, two within ``tol_pole``, an ill-conditioned eigenbasis) or
-that sees nothing above rounding level is first reduced to the modes it
-sees by an orthogonal staircase (``sslib.kalman_reduce``).
+row whose eigenbasis cannot be trusted for that (two eigenvalues whose
+real parts lie within ``tol_pole``, as a complex pair's do, or an
+ill-conditioned eigenbasis) or that sees nothing above rounding level
+is first reduced to the modes it sees by an orthogonal staircase
+(``sslib.kalman_reduce``).
 ``DSF.from_modes`` keeps the rows' poles and residues, as it keeps those
 of a ``dsf_pole_residue`` file, and builds no rational entry; ``Q`` and
 ``P`` are built on first read.  ``DSF(Q, P)`` evaluates each residue of
@@ -271,13 +272,12 @@ def _safe_rows(lam: np.ndarray, V: np.ndarray, tol_pole: float) -> np.ndarray:
     """Rows whose unreduced eigenbasis may give their poles and residues.
 
     ``lam`` and ``V`` are the stacked eigenvalues and eigenvectors of the
-    row systems.  A row is safe when every eigenvalue is exactly real, no
-    two lie within ``tol_pole`` of each other and cond(V_i) <= 1/TOL_RANK;
+    row systems.  A row is safe when no two real parts of its eigenvalues
+    lie within ``tol_pole`` of each other and cond(V_i) <= 1/TOL_RANK;
     ``compute_dsf`` says why.
     """
     gaps = np.diff(np.sort(lam.real, axis=1), axis=1)
-    return ((lam.imag == 0.0).all(axis=1) & (gaps > tol_pole).all(axis=1)
-            & (np.linalg.cond(V) <= 1.0 / TOL_RANK))
+    return (gaps > tol_pole).all(axis=1) & (np.linalg.cond(V) <= 1.0 / TOL_RANK)
 
 
 def _reduced_row(i: int, A: np.ndarray, B: np.ndarray, tol_pole: float):
@@ -304,11 +304,12 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     rounding level, which the floor below drops.  That needs a safe
     eigenbasis, so a row goes through the staircase, ``kalman_reduce``,
     instead when
-      - an eigenvalue is not exactly real: only the minimal part shows
-        whether the row sees a complex mode, or drops it;
-      - two eigenvalues lie within ``tol_pole``: two hidden modes at one
-        pole, of which the row may see one, make one simple pole only
-        in the minimal part;
+      - the real parts of two eigenvalues lie within ``tol_pole``: two
+        hidden modes at one pole, of which the row may see one, make one
+        simple pole only in the minimal part, and only the minimal part
+        shows whether the row sees a complex mode or drops it (the A_i
+        are real, so a complex eigenvalue comes with its conjugate, of
+        the same real part);
       - cond(V_i) > 1/TOL_RANK: a defective eigenvalue is a multiple pole
         only if the row sees its whole Jordan block;
       - its largest residue, relative to its column of B_i, is at or

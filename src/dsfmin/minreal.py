@@ -32,10 +32,10 @@ from .sslib import (
     StateSpace,
     factor_signs,
     is_invariant_zero,
+    numerical_rank,
 )
 
 TOL_ORTH = 1e-8
-TOL_CANCEL = 1e-8
 FREE_VALUE = -1.0
 
 
@@ -117,8 +117,11 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     is (lam - a) times that of [Q P], and its value at infinity is
     lim s[Q P] whatever a is: with simple poles, the sum of the residues.
     The poles are ``d.poles``, the residues ``d.residues``, and every pole
-    decision uses ``d.tol_pole``.  Each residue must have rank 1; the
-    repeated-pole generalization where residues gain rank is not implemented.
+    decision uses ``d.tol_pole``; whether a pole sits at the origin, and so
+    the shift, is decided here and nowhere else.  Each residue must have
+    rank 1 by ``numerical_rank`` at tol_rank, taken on all the residues'
+    singular values at once; the repeated-pole generalization where
+    residues gain rank is not implemented.
     """
     tol_pole = d.tol_pole
     max_mag = max((abs(x) for x in d.poles), default=0.0)
@@ -136,7 +139,7 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     D1 = sum(residues, np.zeros((d.p, d.p + d.m)))
     K = (np.array(poles) - a)[:, None, None] * residues
     U, sv, _ = np.linalg.svd(K)
-    ranks = np.sum(sv > tol_rank * sv[:, :1], axis=1)
+    ranks = numerical_rank(sv, tol_rank)
     for lam, r in zip(poles, ranks):
         if r > 1:
             raise ResidueRankExceedsOne(
@@ -238,21 +241,27 @@ def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar
     return RStar(tuple(entries))
 
 
-def cancellation_check(g: GilbertData, r: RStar) -> list:
+def cancellation_check(g: GilbertData, r: RStar, tol_orth: float = TOL_ORTH) -> list:
     """Per-pole flags: True where N(lam_i) E_i vanishes (pole removed).
 
     N(lam_i) acts entrywise as (lam_i - r_j) / (lam_i - a), with r the
-    materialized R; a flag is set when |N(lam_i) E_i| is at most
-    TOL_CANCEL times max |E_i|.
+    materialized R and a the shift, so it vanishes on component j exactly
+    when r_j = lam_i.  A pole is removed when that holds on the support of
+    E_i, ``_supports`` at tol_orth: the rule of ``compatibility_graph`` and
+    ``construct_rstar``, which copies the poles into R*.  So the R* of a
+    maximum clique removes the clique's poles and no other, since every
+    other pole shares a support position with a member.  The shift is
+    decided by ``extract_modes``; only a pole equal to it, where N is
+    undefined, raises PoleAtZeroWithoutShift.
     """
     lam = np.array(g.poles, dtype=float)
-    at_shift = np.flatnonzero(np.abs(lam - g.shift) < 1e-9)
+    at_shift = np.flatnonzero(lam == g.shift)
     if at_shift.size:
         raise PoleAtZeroWithoutShift(
             f"cannot evaluate the cancellation factor at pole {g.poles[at_shift[0]]} "
             f"with shift {g.shift}")
-    nv = (lam[:, None] - r.materialize()) / (lam - g.shift)[:, None]
-    return (np.max(np.abs(nv * g.E), axis=1) <= TOL_CANCEL * np.max(np.abs(g.E), axis=1)).tolist()
+    kept = _supports(g, tol_orth) & (lam[:, None] != r.materialize())
+    return (~kept.any(axis=1)).tolist()
 
 
 def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
@@ -368,7 +377,7 @@ def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = T
     for clique in cl.cliques:
         rstar = construct_rstar(g, clique, tol_orth)
         rvec = rstar.materialize()
-        flags = cancellation_check(g, rstar)
+        flags = cancellation_check(g, rstar, tol_orth)
         keep = [i for i, f in enumerate(flags) if not f]
         part = _assemble(g, rvec, keep)
         full = part if len(keep) == g.l else _assemble(g, rvec, range(g.l))

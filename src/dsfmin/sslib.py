@@ -5,7 +5,7 @@ characteristic polynomials of the minimal part of (A, b, c),
 det(sI - A + b c) - det(sI - A) over det(sI - A), each taken from
 eigenvalues.  ``kalman_reduce`` finds the minimal part of a state-space
 triple numerically, by an orthogonal staircase whose rank decisions are
-``_rank`` with ``TOL_RANK``.  Every rank decision here is taken at
+``numerical_rank`` with ``TOL_RANK``.  Every rank decision here is taken at
 ``TOL_RANK``, but for ``is_invariant_zero``, which takes its tolerance
 as an argument.
 """
@@ -193,7 +193,7 @@ def output_normal_form(ss: StateSpace) -> PartitionedRealization:
     if p > n:
         raise ShapeMismatch("more outputs than states")
     U, sv, Vt = np.linalg.svd(ss.C)
-    rank = _rank(sv, TOL_RANK)
+    rank = numerical_rank(sv, TOL_RANK)
     if rank < p:
         raise RankDeficientC(f"C has rank {rank} < p = {p}")
     T = np.vstack([ss.C, Vt[p:, :]])
@@ -204,14 +204,16 @@ def output_normal_form(ss: StateSpace) -> PartitionedRealization:
                                   Bo[:p], Bo[p:])
 
 
-def _rank(sv: np.ndarray, tol_rank: float, scale: float = None) -> int:
+def numerical_rank(sv: np.ndarray, tol_rank: float, scale: float = None):
     """Numerical rank from singular values in descending order.
 
     A singular value counts when it exceeds ``tol_rank`` times ``scale``,
-    by default the largest singular value.
+    by default the largest singular value.  ``sv`` may be a stack, one
+    matrix's singular values along the last axis; the ranks are then an
+    array over the stack.  This is the one rank rule of the package.
     """
-    ref = (sv[0] if sv.size else 0.0) if scale is None else scale
-    return int(np.sum(sv > tol_rank * ref))
+    ref = sv[..., :1] if scale is None else scale
+    return np.sum(sv > tol_rank * ref, axis=-1)
 
 
 def _reachable_basis(A: np.ndarray, B: np.ndarray, scale_b: float,
@@ -230,7 +232,7 @@ def _reachable_basis(A: np.ndarray, B: np.ndarray, scale_b: float,
         for _ in range(2):  # projecting twice keeps Z orthonormal to working precision
             X = X - Z @ (Z.T @ X)
         U, sv, _ = np.linalg.svd(X, full_matrices=False)
-        r = _rank(sv, TOL_RANK, scale)
+        r = numerical_rank(sv, TOL_RANK, scale)
         if r == 0:
             break
         Z = np.hstack([Z, U[:, :r]])
@@ -292,7 +294,7 @@ def rank_factorization(K: np.ndarray):
     column signed by ``factor_signs``.
     """
     U, sv, Vt = np.linalg.svd(K)
-    r = _rank(sv, TOL_RANK)
+    r = numerical_rank(sv, TOL_RANK)
     E = U[:, :r] * sv[:r]
     signs = factor_signs(K, E)
     return E * signs, Vt[:r] * signs[:, None], r
@@ -328,9 +330,13 @@ def gilbert_realization(M: RationalMatrix) -> StateSpace:
 
 
 def mcmillan_degree(M: RationalMatrix) -> int:
-    """Sum of residue ranks of a proper matrix with real simple poles."""
-    return int(sum(_rank(np.linalg.svd(K, compute_uv=False), TOL_RANK)
-                   for K in to_pole_residue(M).residues))
+    """Sum of residue ranks of a proper matrix with real simple poles.
+
+    The residues are ranked as one stack.
+    """
+    prf = to_pole_residue(M)
+    K = np.reshape(prf.residues, (-1, *prf.shape))
+    return int(np.sum(numerical_rank(np.linalg.svd(K, compute_uv=False), TOL_RANK)))
 
 
 def normal_rank(M: RationalMatrix) -> int:
@@ -340,19 +346,20 @@ def normal_rank(M: RationalMatrix) -> int:
     """
     points = off_pole_points(np.concatenate([e.poles() for row in M.entries for e in row]), 8)
     sv = np.linalg.svd(rmat_eval(M, np.asarray(points)), compute_uv=False)
-    return max(_rank(x, TOL_RANK) for x in sv)
+    return int(np.max(numerical_rank(sv, TOL_RANK)))
 
 
 def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
     """Normal rank of G(s), the largest rank at eight points beyond the spectrum.
 
     G is evaluated at all eight points by one stacked solve, and their
-    ranks come from one stacked singular value decomposition.
+    ranks come from one stacked singular value decomposition and one
+    ``numerical_rank``.
     """
     s = np.asarray(off_pole_points(np.linalg.eigvals(ss.A), 8))
     pencil = s[:, None, None] * np.eye(ss.n) - ss.A
     G = ss.C @ np.linalg.solve(pencil, np.broadcast_to(ss.B, (s.size, *ss.B.shape))) + ss.D
-    return max(_rank(sv, tol_rank) for sv in np.linalg.svd(G, compute_uv=False))
+    return int(np.max(numerical_rank(np.linalg.svd(G, compute_uv=False), tol_rank)))
 
 
 def is_invariant_zero(ss: StateSpace, s, tol_rank: float = TOL_RANK):
@@ -361,8 +368,9 @@ def is_invariant_zero(ss: StateSpace, s, tol_rank: float = TOL_RANK):
     True where rank [[A - s I, B], [C, D]] drops below n plus the normal
     rank of the transfer function, the latter the largest rank of G at
     eight deterministic points beyond the spectral radius.  The ranks at
-    all the points come from one stacked singular value decomposition;
-    an array of points gives an array of verdicts.
+    all the points come from one stacked singular value decomposition and
+    one ``numerical_rank`` at tol_rank, as the normal rank's do; an array
+    of points gives an array of verdicts.
     """
     s = np.asarray(s)
     pts = np.atleast_1d(s)
@@ -371,5 +379,5 @@ def is_invariant_zero(ss: StateSpace, s, tol_rank: float = TOL_RANK):
     R = np.array(np.broadcast_to(R, (pts.size, *R.shape)), dtype=np.result_type(R, pts))
     R[:, range(n), range(n)] -= pts[:, None]
     full = n + _transfer_normal_rank(ss, tol_rank)
-    drops = np.array([_rank(x, tol_rank) < full for x in np.linalg.svd(R, compute_uv=False)])
+    drops = numerical_rank(np.linalg.svd(R, compute_uv=False), tol_rank) < full
     return drops.reshape(s.shape) if s.ndim else bool(drops[0])

@@ -33,6 +33,21 @@ CONFLICT_JSON = {
     "KP": [[[1], [1], [0]], [[1], [-1], [0]]],
 }
 
+# the residue vector at -1 is (1, 1e-6): its supports at tol_orth 1e-8 and
+# 1e-4 differ, and with them the search's answer
+NEAR_DISJOINT_JSON = {
+    "kind": "dsf_pole_residue", "poles": [-1.0, -2.0],
+    "KQ": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "KP": [[[1], [1e-6]], [[0], [1]]],
+}
+
+# a pole 5e-10 from the origin: at the origin for tol_pole 1e-6, off it for 1e-12
+NEAR_ORIGIN_JSON = {
+    "kind": "dsf_pole_residue", "poles": [5e-10, -2.0],
+    "KQ": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]],
+    "KP": [[[0], [1]], [[1], [0]]],
+}
+
 
 def ex1_state_space(**fields):
     A, B, _ = ex1_matrices()
@@ -416,6 +431,38 @@ class TestSearchOptions:
         assert "minimal consistent order = 4 (hidden states: 1)" in capsys.readouterr().out
         assert main(["verify", str(path), str(tmp_path / "realization_1.json")]) == 0
         assert "verdict: consistent and minimal" in capsys.readouterr().out
+
+    def test_support_rule_decides_cancellation(self, tmp_path, capsys):
+        # at --tol-orth 1e-4 the 1e-6 component of the residue vector at -1
+        # is off its support, so R* removes both poles: the realization has
+        # the reported order 2 and fails consistency by that component
+        path = tmp_path / "near_disjoint.json"
+        path.write_text(json.dumps(NEAR_DISJOINT_JSON))
+        code = main(["minreal", str(path), "--tol-orth", "1e-4", "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "minimal consistent order = 2 (hidden states: 0)" in out
+        assert "cancelled poles: -1, -2" in out and "consistency: FAIL" in out
+        A = json.loads((tmp_path / "realization_1.json").read_text())["A"]
+        assert np.shape(A) == (2, 2)
+
+    def test_pole_near_origin_without_shift(self, tmp_path, capsys):
+        # at --tol-pole 1e-12 the pole 5e-10 is off the origin, so no shift
+        # is taken; the answer is the one the shifted search gives
+        path = tmp_path / "near_origin.json"
+        path.write_text(json.dumps(NEAR_ORIGIN_JSON))
+        reports = []
+        for options in ([], ["--tol-pole", "1e-12"]):
+            assert main(["minreal", str(path), *options, "--out-dir", str(tmp_path)]) == 0
+            reports.append(capsys.readouterr().out.splitlines())
+        for report in reports:
+            assert "minimal consistent order = 2 (hidden states: 0)" in report
+            assert "  consistency: PASS" in report
+            assert "  zero agreement at cancelled poles: PASS" in report
+        answer = [[line for line in report if line.startswith(("max simultaneous", "minimal",
+                                                              "realization 1: R*"))]
+                  for report in reports]
+        assert answer[0] == answer[1] and len(answer[0]) == 3
 
     @pytest.mark.parametrize("command, option", [
         ("minreal", ["--edge-rule", "orthogonal"]),

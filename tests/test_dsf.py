@@ -86,6 +86,15 @@ class TestDsfToTransfer:
     def test_ex2_mcmillan_degree(self, ex2_dsf):
         assert mcmillan_degree(dsf_to_transfer(ex2_dsf)) == 4
 
+    def test_no_pole_gives_zero_transfer(self):
+        # with B = 0 no row of [Q P] has a pole, so the Gilbert realization
+        # of [Q P] is the one decoupled state that stands for no dynamics
+        d = compute_dsf(_partition(np.diag([-1.0, -2.0]), np.zeros((2, 1)), 2))
+        assert d.poles == []
+        G = dsf_to_transfer(d)
+        assert len(G.entries) == 2 and all(len(row) == 1 for row in G.entries)
+        assert all(e.is_zero for row in G.entries for e in row)
+
     def test_roundtrip_matches_assembled_transfer(self):
         rng = np.random.default_rng(29)
         for _ in range(8):

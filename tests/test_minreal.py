@@ -268,6 +268,16 @@ class TestCancellationCheck:
         flags = cancellation_check(g, RStar((-1.0, -2.0, -3.0)))
         assert flags == [True, True, True, False, False]
 
+    def test_only_a_pole_equal_to_the_shift_rejected(self):
+        # N(lam) = (lam - r) / (lam - a) is undefined only at lam = a; whether
+        # a pole sits at the origin is extract_modes's decision, not this one
+        E, F = np.eye(2), [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+        at_shift = GilbertData([0.0, -2.0], E, F, np.zeros((2, 3)), 0.0, 2, 1)
+        with pytest.raises(PoleAtZeroWithoutShift):
+            cancellation_check(at_shift, RStar((0.0, -2.0)))
+        near = GilbertData([5e-10, -2.0], E, F, np.zeros((2, 3)), 0.0, 2, 1)
+        assert cancellation_check(near, RStar((5e-10, -2.0))) == [True, True]
+
     def test_flag_count_bounded_by_phi(self, ex2_dsf):
         g = extract_modes(ex2_dsf)
         phi = maximum_cliques(compatibility_graph(g)).phi
@@ -359,6 +369,16 @@ class TestProperties:
         for _ in range(50):
             part = realize(ex2_dsf, RStar(tuple(rng.uniform(-10, 10, 3))), modes=g)
             assert part.order >= bound
+
+    @pytest.mark.parametrize("tol_orth, order", [(1e-8, 3), (1e-4, 2)])
+    def test_realizations_have_the_searched_order(self, tol_orth, order):
+        # the residue vector at -1 is (1, 1e-6): at tol_orth 1e-4 its support
+        # is row 0 alone, so the search removes both poles, as must R*
+        d = DSF.from_modes([-1.0, -2.0], [[[0.0, 0.0, 1.0], [0.0, 0.0, 1e-6]],
+                                          [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]])
+        res = minreal_pipeline(d, enumerate_all=True, tol_orth=tol_orth)
+        assert res.order == order
+        assert [r.order for r in res.realizations] == [order] * len(res.cliques.cliques)
 
     def test_shift_invariance_of_phi(self, ex2_dsf):
         base = maximum_cliques(compatibility_graph(extract_modes(ex2_dsf))).phi
