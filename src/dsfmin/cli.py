@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 verification failure, 2 assumption violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -264,14 +265,20 @@ def build_report(d: DSF, result) -> str:
     """The text report of a pipeline result for the structure function d.
 
     The McMillan degree of G = (I - Q)^(-1) P comes from the modes.  Every
-    residue has rank 1, so A = diag(lam_i), C = [E_i] and the rows
-    F_i / (lam_i - a) of [By Bu] are a minimal realization of [Q P].
+    residue has rank 1, so A = diag(lam_i), the columns E_i / (lam_i - a)
+    of C and the rows F_i of [By Bu] are a minimal realization of [Q P].
     Closed through the output, (A + By C, Bu, C) realizes G, and the
-    degree is the order ``kalman_reduce`` leaves of it.
+    degree is the order ``kalman_reduce`` leaves of it.  The factor
+    1 / (lam_i - a) goes on C because E_i F_i is (lam_i - a) times the
+    residue with F_i of unit norm, so E_i carries the factor lam_i - a;
+    divided by it, each column of C is the size of its residue.  Put on B
+    instead, the factor would leave C's column at a pole near the origin
+    (with a = 0) near rounding level, and ``kalman_reduce``, which ranks
+    against the largest, would drop that mode as unobservable.
     """
     g = result.gilbert
-    C = g.E.T
-    B = g.F / (np.array(g.poles, dtype=float) - g.shift)[:, None]
+    C = g.E.T / (np.array(g.poles, dtype=float) - g.shift)
+    B = g.F
     A = np.diag(g.poles) + B[:, :d.p] @ C
     degree = kalman_reduce(A, B[:, d.p:], C)[0].shape[0]
     out = [f"measured states p = {d.p}, inputs m = {d.m}",
@@ -450,9 +457,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused after."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AssumptionError, RankDeficientC) as exc:

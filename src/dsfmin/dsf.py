@@ -222,12 +222,29 @@ def compute_wv(part: PartitionedRealization):
     return W, V
 
 
+def _row_matrices(A11, A12, A21, A22) -> np.ndarray:
+    """A_i = [[A11[i, i], A12[i]], [A21[:, i], A22]] for each measured state i.
+
+    A_i is A[idx, idx], idx = [i, p, ..., n-1]: the principal submatrix on
+    measured state i and the hidden states.  The blocks may carry leading
+    stack axes; the A_i come stacked over them and over i,
+    ... x p x (1+h) x (1+h).
+    """
+    p, h = A12.shape[-2:]
+    A = np.empty((*A12.shape[:-2], p, 1 + h, 1 + h))
+    A[..., 0, 0] = np.diagonal(A11, axis1=-2, axis2=-1)
+    A[..., 0, 1:] = A12
+    A[..., 1:, 0] = np.swapaxes(A21, -2, -1)
+    A[..., 1:, 1:] = A22[..., None, :, :]
+    return A
+
+
 def _row_systems(part: PartitionedRealization):
     """The row systems of a partition, stacked over the measured states.
 
     Row i of [Q P] is the transfer from (y_j for j != i, u) to y_i of the
-    system on measured state i and the hidden states: A_i = A[idx, idx],
-    B_i = [A[idx, j != i], B[idx]] and C_i = e_1, with
+    system on measured state i and the hidden states: A_i of
+    ``_row_matrices``, B_i = [A[idx, j != i], B[idx]] and C_i = e_1, with
     idx = [i, p, ..., n-1].  Returns A_i, p x (1+h) x (1+h), and B_i,
     p x (1+h) x (p-1+m).
     """
@@ -236,7 +253,7 @@ def _row_systems(part: PartitionedRealization):
     idx = np.array([[i, *range(p, part.order)] for i in range(p)])
     others = np.array([[j for j in range(p) if j != i] for i in range(p)],
                       dtype=int).reshape(p, p - 1)
-    A = ss.A[idx[:, :, None], idx[:, None, :]]
+    A = _row_matrices(part.A11, part.A12, part.A21, part.A22)
     B = np.concatenate([ss.A[idx[:, :, None], others[:, None, :]], ss.B[idx]], axis=2)
     return A, B
 
@@ -388,8 +405,7 @@ def boolean_structure(d: DSF) -> BooleanStructure:
     return BooleanStructure(present[:, :d.p], present[:, d.p:])
 
 
-def consistency_check(part: PartitionedRealization, d: DSF,
-                      tol_eval: float = TOL_EVAL) -> bool:
+def consistency_check(part, d: DSF, tol_eval: float = TOL_EVAL):
     """True iff the realization reproduces the structure function.
 
     Both sides are compared by value at 16 points beyond every pole of
@@ -405,23 +421,38 @@ def consistency_check(part: PartitionedRealization, d: DSF,
     input as given, not ``d.residues`` converted from it, whose error
     (8e-8 relative at 12 poles per entry) would otherwise pass unseen.
     The two sides are judged by ``values_agree``.
+
+    ``part`` may also be a stack, a sequence of realizations with one
+    number of hidden states; the verdicts are then a list.  Each member
+    gets its own points and is judged by ``values_agree`` alone, while
+    the eigenvalues, the solves and the structure function's values are
+    taken for the whole stack at once.  One realization is a stack of one.
     """
-    if part.p != d.p or part.m != d.m:
-        raise ShapeMismatch(
-            f"realization is {part.p}x{part.m}, structure function {d.p}x{d.m}")
-    p, h = part.p, part.h
-    poles = [d.poles, np.linalg.eigvals(part.A22),
-             np.linalg.eigvals(_row_systems(part)[0]).ravel()]
-    s = np.asarray(off_pole_points(np.concatenate(poles), 16))
+    parts = [part] if isinstance(part, PartitionedRealization) else part
+    for x in parts:
+        if x.p != d.p or x.m != d.m:
+            raise ShapeMismatch(
+                f"realization is {x.p}x{x.m}, structure function {d.p}x{d.m}")
+    if len({x.h for x in parts}) > 1:
+        raise ShapeMismatch("the realizations of a stack must have one number of hidden states")
+    p, h = d.p, parts[0].h
+    A11, A12, A21, A22, B1, B2 = (np.array([getattr(x, key) for x in parts])
+                                  for key in ("A11", "A12", "A21", "A22", "B1", "B2"))
+    r = len(parts)
+    rows = np.linalg.eigvals(_row_matrices(A11, A12, A21, A22)).reshape(r, -1)
+    poles = np.repeat([d.poles], r, axis=0)
+    s = off_pole_points(np.concatenate([poles, np.linalg.eigvals(A22), rows], axis=-1), 16)
     if d.modes is None:
-        want = rmat_eval(d.qp(), s)
+        want = rmat_eval(d.qp(), s.ravel()).reshape(*s.shape, p, p + d.m)
     else:
         lam, R = d.modes
-        want = np.tensordot(1.0 / (s[:, None] - lam), R, axes=1)
-    rhs = np.broadcast_to(np.hstack([part.A21, part.B2]), (s.size, h, p + part.m))
-    wv = np.hstack([part.A11, part.B1]) + part.A12 @ np.linalg.solve(
-        s[:, None, None] * np.eye(h) - part.A22, rhs)
-    diag = (slice(None), range(p), range(p))
+        want = np.tensordot(1.0 / (s[..., None] - lam), R, axes=1)
+    rhs = np.broadcast_to(np.concatenate([A21, B2], -1)[:, None], (*s.shape, h, p + d.m))
+    wv = np.concatenate([A11, B1], -1)[:, None] + A12[:, None] @ np.linalg.solve(
+        s[..., None, None] * np.eye(h) - A22[:, None], rhs)
+    diag = (..., range(p), range(p))
     w_ii = wv[diag].copy()
     wv[diag] = 0.0
-    return values_agree(wv / (s[:, None] - w_ii)[:, :, None], want, tol_eval)
+    verdicts = [values_agree(f, g, tol_eval)
+                for f, g in zip(wv / (s[..., None] - w_ii)[..., None], want)]
+    return verdicts[0] if isinstance(part, PartitionedRealization) else verdicts

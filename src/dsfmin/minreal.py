@@ -334,31 +334,35 @@ class PipelineResult:
     realizations: list
 
 
-def _zero_point_tests(g: GilbertData, flags, full: PartitionedRealization, tol_rank):
+def _zero_point_tests(g: GilbertData, flags, fulls, tol_rank):
     """Invariant-zero agreement at cancelled poles and a control point.
 
-    Both tests run on the full (uncancelled) cascade, where a removed
-    pole persists as an unobservable mode: the V-subsystem
-    (A22, B2, A12, B1) and the assembled system lose Rosenbrock rank
-    together exactly at the cancelled poles.  The control point, where
-    neither may lose rank, is 0.5 (lam_0 + lam_1) + 0.5j |lam_0 - lam_1|
-    for the two largest poles.  It lies off the real axis, where a real
+    ``flags`` and ``fulls`` hold, for each realization of a stack, its
+    cancellation flags and its full (uncancelled) cascade; every member
+    cancels the same number of poles.  The tests run on the cascade,
+    where a removed pole persists as an unobservable mode: the
+    V-subsystem (A22, B2, A12, B1) and the assembled system lose
+    Rosenbrock rank together exactly at the cancelled poles.  The control
+    point, where neither may lose rank, is
+    0.5 (lam_0 + lam_1) + 0.5j |lam_0 - lam_1| for the two largest poles,
+    the same for every member.  It lies off the real axis, where a real
     system has a zero only by coincidence; the real midpoint is a true
-    zero of 1/(s+1) + 1/(s+2), for one.  ``is_invariant_zero`` tests each
-    system at all the points in one call.
+    zero of 1/(s+1) + 1/(s+2), for one.  One ``is_invariant_zero`` call
+    tests every member's V-subsystem at its own points, and one every
+    assembled system.  Returns one list of ``ZeroMatch`` per member.
     """
-    points = [(lam, True) for lam, flag in zip(g.poles, flags) if flag]
+    control = []
     if g.l >= 2:
         lam0, lam1 = g.poles[:2]
-        points.append((0.5 * (lam0 + lam1) + 0.5j * abs(lam0 - lam1), False))
-    if not points:
-        return []
-    at = np.array([point for point, _ in points])
-    v_zero, g_zero = (is_invariant_zero(ss, at, tol_rank)
-                      for ss in (StateSpace(full.A22, full.B2, full.A12, full.B1),
-                                 full.assemble()))
-    return [ZeroMatch(point, bool(v), bool(z), expected)
-            for (point, expected), v, z in zip(points, v_zero, g_zero)]
+        control = [0.5 * (lam0 + lam1) + 0.5j * abs(lam0 - lam1)]
+    points = [[lam for lam, flag in zip(g.poles, f) if flag] + control for f in flags]
+    if not points[0]:
+        return [[] for _ in flags]
+    expected = [True] * (len(points[0]) - len(control)) + [False] * len(control)
+    v_zero, g_zero = (is_invariant_zero(systems, np.array(points), tol_rank) for systems in (
+        [StateSpace(x.A22, x.B2, x.A12, x.B1) for x in fulls], [x.assemble() for x in fulls]))
+    return [[ZeroMatch(*check) for check in zip(at, v.tolist(), z.tolist(), expected)]
+            for at, v, z in zip(points, v_zero, g_zero)]
 
 
 def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = TOL_RANK,
@@ -367,23 +371,33 @@ def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = T
 
     One realization is produced per maximum clique (or just the first,
     lexicographically, when enumerate_all is off), each verified for
-    consistency against the input structure function.
+    consistency against the input structure function.  Every clique's
+    R*, flags and realization are built first; then the realizations
+    are verified as stacks, one ``consistency_check`` and one
+    ``_zero_point_tests`` per number of hidden states.  Each maximum
+    clique has phi members and its R* removes exactly those poles, so
+    all realizations of one search share one shape and make one stack.
     """
     g = extract_modes(d, tol_rank=tol_rank)
     cg = compatibility_graph(g, tol_orth=tol_orth)
     cl = maximum_cliques(cg, enumerate_all)
     order = d.p + g.l - cl.phi
-    reports = []
+    reports, fulls, stacks = [], [], {}
     for clique in cl.cliques:
         rstar = construct_rstar(g, clique, tol_orth)
         rvec = rstar.materialize()
         flags = cancellation_check(g, rstar, tol_orth)
         keep = [i for i, f in enumerate(flags) if not f]
         part = _assemble(g, rvec, keep)
-        full = part if len(keep) == g.l else _assemble(g, rvec, range(g.l))
+        fulls.append(part if len(keep) == g.l else _assemble(g, rvec, range(g.l)))
         cancelled = [g.poles[i] for i in range(g.l) if flags[i]]
-        consistent = consistency_check(part, d, tol_eval)
-        checks = _zero_point_tests(g, flags, full, tol_rank)
-        reports.append(RealizationReport(rstar, part, part.order, cancelled,
-                                         flags, consistent, checks))
+        stacks.setdefault(part.h, []).append(len(reports))
+        reports.append(RealizationReport(rstar, part, part.order, cancelled, flags, None))
+    for members in stacks.values():
+        stack = [reports[k] for k in members]
+        consistent = consistency_check([r.realization for r in stack], d, tol_eval)
+        checks = _zero_point_tests(g, [r.cancellation_flags for r in stack],
+                                   [fulls[k] for k in members], tol_rank)
+        for r, ok, zero_checks in zip(stack, consistent, checks):
+            r.consistent, r.zero_checks = ok, zero_checks
     return PipelineResult(g, cg, cl, g.l, cl.phi, order, g.l - cl.phi, reports)

@@ -361,14 +361,15 @@ def values_agree(f, g, tol_eval: float = TOL_EVAL) -> bool:
     return bool(np.all(np.abs(f - g) <= bound))
 
 
-def off_pole_points(poles, count: int) -> list:
+def off_pole_points(poles, count: int) -> np.ndarray:
     """Deterministic points s_k = sigma + k, k = 1..count, sigma = 1 + max |pole|.
 
     Every point lies beyond the spectral bound of ``poles``, so none is a pole.
+    ``poles`` may be a stack, one set of poles along the last axis; the
+    points are then a stack too, ``count`` per set.
     """
-    poles = np.asarray(poles)
-    sigma = 1.0 + (float(np.max(np.abs(poles))) if poles.size else 0.0)
-    return [sigma + k for k in range(1, count + 1)]
+    sigma = 1.0 + np.abs(poles).max(axis=-1, initial=0.0)
+    return sigma[..., None] + np.arange(1, count + 1)
 
 
 class RationalMatrix:
@@ -762,5 +763,5 @@ def rmat_equal(M1: RationalMatrix, M2: RationalMatrix,
         raise ShapeMismatch(f"shapes {M1.shape} and {M2.shape} differ")
     both = RationalMatrix.hstack(M1, M2)
     pts = off_pole_points(np.concatenate([e.poles() for row in both.entries for e in row]), 16)
-    values = rmat_eval(both, np.asarray(pts))
+    values = rmat_eval(both, pts)
     return values_agree(values[..., :M1.cols], values[..., M1.cols:], tol_eval)

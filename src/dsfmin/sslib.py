@@ -345,39 +345,56 @@ def normal_rank(M: RationalMatrix) -> int:
     One ``rmat_eval`` at all eight, one stacked SVD.
     """
     points = off_pole_points(np.concatenate([e.poles() for row in M.entries for e in row]), 8)
-    sv = np.linalg.svd(rmat_eval(M, np.asarray(points)), compute_uv=False)
+    sv = np.linalg.svd(rmat_eval(M, points), compute_uv=False)
     return int(np.max(numerical_rank(sv, TOL_RANK)))
+
+
+def _normal_ranks(A, B, C, D, tol_rank: float) -> np.ndarray:
+    """Normal ranks of a stack of systems (A, B, C, D), one per leading index.
+
+    Each system's G(s) is the largest rank at the eight ``off_pole_points``
+    of its own spectrum; G is evaluated at every point of every system by
+    one stacked solve, and the ranks come from one stacked singular value
+    decomposition and one ``numerical_rank``.
+    """
+    s = off_pole_points(np.linalg.eigvals(A), 8)
+    pencil = s[..., None, None] * np.eye(A.shape[-1]) - A[:, None]
+    G = C[:, None] @ np.linalg.solve(pencil, np.broadcast_to(B[:, None], (*s.shape, *B.shape[1:])))
+    return np.max(numerical_rank(np.linalg.svd(G + D[:, None], compute_uv=False), tol_rank),
+                  axis=-1)
 
 
 def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
     """Normal rank of G(s), the largest rank at eight points beyond the spectrum.
 
-    G is evaluated at all eight points by one stacked solve, and their
-    ranks come from one stacked singular value decomposition and one
-    ``numerical_rank``.
+    ``_normal_ranks`` of a stack of one.
     """
-    s = np.asarray(off_pole_points(np.linalg.eigvals(ss.A), 8))
-    pencil = s[:, None, None] * np.eye(ss.n) - ss.A
-    G = ss.C @ np.linalg.solve(pencil, np.broadcast_to(ss.B, (s.size, *ss.B.shape))) + ss.D
-    return int(np.max(numerical_rank(np.linalg.svd(G, compute_uv=False), tol_rank)))
+    return int(_normal_ranks(ss.A[None], ss.B[None], ss.C[None], ss.D[None], tol_rank)[0])
 
 
-def is_invariant_zero(ss: StateSpace, s, tol_rank: float = TOL_RANK):
+def is_invariant_zero(ss, s, tol_rank: float = TOL_RANK):
     """Rosenbrock rank test at the point s, or at each point of an array s.
 
     True where rank [[A - s I, B], [C, D]] drops below n plus the normal
     rank of the transfer function, the latter the largest rank of G at
     eight deterministic points beyond the spectral radius.  The ranks at
     all the points come from one stacked singular value decomposition and
-    one ``numerical_rank`` at tol_rank, as the normal rank's do; an array
+    one ``numerical_rank`` at tol_rank, as the normal ranks' do; an array
     of points gives an array of verdicts.
+
+    ``ss`` may also be a stack, a sequence of systems of one shape, with
+    ``s`` holding one row of points per system: the verdicts are then an
+    array, systems x points, each system tested at its own points against
+    its own normal rank.  One system is a stack of one.
     """
+    systems = [ss] if isinstance(ss, StateSpace) else ss
     s = np.asarray(s)
-    pts = np.atleast_1d(s)
-    n = ss.n
-    R = np.block([[ss.A, ss.B], [ss.C, ss.D]])
-    R = np.array(np.broadcast_to(R, (pts.size, *R.shape)), dtype=np.result_type(R, pts))
-    R[:, range(n), range(n)] -= pts[:, None]
-    full = n + _transfer_normal_rank(ss, tol_rank)
-    drops = numerical_rank(np.linalg.svd(R, compute_uv=False), tol_rank) < full
-    return drops.reshape(s.shape) if s.ndim else bool(drops[0])
+    pts = s.reshape(len(systems), -1)
+    A, B, C, D = (np.array([getattr(x, key) for x in systems]) for key in "ABCD")
+    n = A.shape[-1]
+    R = np.concatenate([np.concatenate([A, B], -1), np.concatenate([C, D], -1)], -2)[:, None]
+    R = np.array(np.broadcast_to(R, (*pts.shape, *R.shape[2:])), dtype=np.result_type(R, pts))
+    R[..., range(n), range(n)] -= pts[..., None]
+    full = n + _normal_ranks(A, B, C, D, tol_rank)
+    drops = numerical_rank(np.linalg.svd(R, compute_uv=False), tol_rank) < full[:, None]
+    return drops.reshape(s.shape) if s.ndim else bool(drops[0, 0])

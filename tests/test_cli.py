@@ -1,12 +1,13 @@
 """Command-line interface: file formats, commands, exit codes."""
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dsfmin import kalman_reduce, rmat_equal
+from dsfmin import cli, dsf_to_transfer, kalman_reduce, mcmillan_degree, rmat_equal
 from dsfmin.cli import dsf_to_json, main, model_to_dsf, parse_model, part_to_json
 from dsfmin.errors import SchemaError
 
@@ -464,6 +465,17 @@ class TestSearchOptions:
                   for report in reports]
         assert answer[0] == answer[1] and len(answer[0]) == 3
 
+    def test_pole_near_origin_mcmillan_degree(self, tmp_path, capsys):
+        # unshifted, the factor lam - 0 = 5e-10 must not make the pole's
+        # state look unobservable to the report's staircase
+        path = tmp_path / "near_origin.json"
+        path.write_text(json.dumps(NEAR_ORIGIN_JSON))
+        d = model_to_dsf(parse_model(str(path), {"tol_pole": 1e-12}))
+        assert mcmillan_degree(dsf_to_transfer(d)) == 2
+        for options in ([], ["--tol-pole", "1e-12"]):
+            assert main(["minreal", str(path), *options, "--out-dir", str(tmp_path)]) == 0
+            assert "mcmillan degree of G: 2" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("command, option", [
         ("minreal", ["--edge-rule", "orthogonal"]),
         ("minreal", ["--shift", "5"]),
@@ -664,3 +676,31 @@ class TestGraphCommand:
             assert main(["graph", str(path)]) == 0
             out = capsys.readouterr().out
             assert "u1 -> y1;" in out and "u1 -> y2;" in out
+
+
+class TestParserReuse:
+    def test_parser_built_once_and_keeps_no_state(self, tmp_path, capsys, monkeypatch):
+        # --enumerate-all and --tol-orth 1e-4 each change this model's answer,
+        # so a value left over from the first call would show in the second
+        path = tmp_path / "near_disjoint.json"
+        path.write_text(json.dumps(NEAR_DISJOINT_JSON))
+        default = ["minreal", str(path), "--out-dir", str(tmp_path)]
+        built = []
+
+        def make_parser():
+            built.append(1)
+            return real_make_parser()
+
+        real_make_parser = cli.make_parser
+        monkeypatch.setattr(cli, "make_parser", make_parser)
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        assert main(default) == 0
+        first = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        assert main(["minreal", str(path), "--enumerate-all", "--tol-orth", "1e-4",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "realization 1:" in capsys.readouterr().out
+        assert main(default) == 0
+        assert capsys.readouterr().out == first
+        assert "realization 1:" in first and "realization 2:" not in first
+        assert built == [1, 1]

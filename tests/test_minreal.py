@@ -27,13 +27,16 @@ from dsfmin.errors import (
     ConflictingAssignment,
     PoleAtZeroWithoutShift,
     ResidueRankExceedsOne,
+    ShapeMismatch,
 )
 from dsfmin.minreal import CompatGraph, GilbertData, _assemble
 from dsfmin.sslib import (
     TOL_RANK,
     PartitionedRealization,
     StateSpace,
+    _normal_ranks,
     _transfer_normal_rank,
+    is_invariant_zero,
     rank_factorization,
 )
 
@@ -467,3 +470,73 @@ class TestBatchedZeroTests:
                             full.assemble())] == ranks
                         compared += len(want)
         assert compared > 1000
+
+
+class TestStackedChecks:
+    """Members of a stack are judged as the one-system calls judge them."""
+
+    @staticmethod
+    def with_a12_nudged(part):
+        A12 = part.A12.copy()
+        A12[0, 0] += 1e-2
+        return PartitionedRealization(part.A11, A12, part.A21, part.A22, part.B1, part.B2)
+
+    def check_stack(self, d, result):
+        """A stack of every realization with a nudged copy of the first in second place."""
+        parts = [r.realization for r in result.realizations]
+        stack = [parts[0], self.with_a12_nudged(parts[0]), *parts[1:]]
+        verdicts = consistency_check(stack, d)
+        assert verdicts == [consistency_check(part, d) for part in stack]
+        assert verdicts == [True, False] + [True] * (len(parts) - 1)
+        assert verdicts[:1] + verdicts[2:] == [r.consistent for r in result.realizations]
+        return len(stack)
+
+    def relay_results(self, count):
+        relay_blocks = _relay_blocks()
+        sizes = ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4))
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                for size in sizes:
+                    b = relay_blocks(rng, *size, 2)
+                    d = compute_dsf(PartitionedRealization(b.A11, b.A12, b.A21, b.A22,
+                                                           b.B1, b.B2))
+                    yield d, minreal_pipeline(d, enumerate_all=True)
+
+    def test_consistency_members_judged_alone_on_relay_pools(self):
+        sizes = [self.check_stack(d, result) for d, result in self.relay_results(12)]
+        assert max(sizes) >= 4
+
+    def test_consistency_members_judged_alone_on_rational_entries(self, ex2_dsf):
+        # ex2 and DSF(Q, P) of from_pole_residue entries: no modes, rmat_eval values
+        rng = np.random.default_rng(71)
+        dsfs = [ex2_dsf] + [random_dsf(rng, 3, 2, int(rng.integers(2, 5))) for _ in range(10)]
+        for d in dsfs:
+            assert d.modes is None
+            self.check_stack(d, minreal_pipeline(d, enumerate_all=True))
+        assert len(minreal_pipeline(ex2_dsf, enumerate_all=True).realizations) == 4
+
+    def test_stack_of_two_shapes_rejected(self, ex2_dsf):
+        part = minreal_pipeline(ex2_dsf).realizations[0].realization
+        bare = PartitionedRealization(part.A11, np.zeros((3, 0)), np.zeros((0, 3)),
+                                      np.zeros((0, 0)), part.B1, np.zeros((0, 1)))
+        with pytest.raises(ShapeMismatch):
+            consistency_check([part, bare], ex2_dsf)
+
+    def test_invariant_zero_stack_equals_per_system_calls(self):
+        # G = diag((s+2)/(s+1), (s+3)/(s+2)) has normal rank 2 and zeros at -2
+        # and -3; with both inputs entering as one, the normal rank is 1
+        full = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.eye(2))
+        single = StateSpace(np.diag([-1.0, -2.0]), [[1.0, 1.0], [1.0, 1.0]], np.eye(2),
+                            np.zeros((2, 2)))
+        stack = [full, single, full]
+        points = np.array([[-2.0, -3.0, -1.5], [-2.0, -0.5, 4.0], [-1.0, -3.0 + 1j, -3.0]])
+        got = is_invariant_zero(stack, points)
+        want = [is_invariant_zero(ss, at) for ss, at in zip(stack, points)]
+        assert got.shape == (3, 3)
+        assert got.tolist() == [w.tolist() for w in want]
+        assert got[0].tolist() == [True, True, False]
+        assert not got[1].any()
+        ranks = _normal_ranks(*(np.stack([getattr(ss, key) for ss in stack]) for key in "ABCD"),
+                              TOL_RANK)
+        assert ranks.tolist() == [_transfer_normal_rank(ss, TOL_RANK) for ss in stack] == [2, 1, 2]
