@@ -43,6 +43,7 @@ from .ratcore import (
     TOL_POLE,
     PoleResidueForm,
     RationalMatrix,
+    _all_den_roots,
     chain_clusters,
     from_known_poles,
     merge_poles,
@@ -132,11 +133,10 @@ class DSF:
         self.p, self.m, self.tol_pole = Q.rows, P.cols, tol_pole
         self.modes = None
         entries = [e for M in (Q, P) for row in M.entries for e in row]
-        roots = [e.poles() for e in entries]
         self.poles = _validated_poles(
             self.p, self.m, np.array([e.is_zero for e in entries]),
-            np.array([not e.is_strictly_proper for e in entries]), np.concatenate(roots),
-            np.repeat(np.arange(len(roots)), [r.size for r in roots]), tol_pole)
+            np.array([not e.is_strictly_proper for e in entries]), *_all_den_roots(entries),
+            tol_pole)
         qp = self.qp()
         self.residues = np.array([residue_at(qp, lam, tol_pole) for lam in self.poles]
                                  ).reshape(len(self.poles), self.p, self.p + self.m)
@@ -443,7 +443,7 @@ def consistency_check(part, d: DSF, tol_eval: float = TOL_EVAL):
     poles = np.repeat([d.poles], r, axis=0)
     s = off_pole_points(np.concatenate([poles, np.linalg.eigvals(A22), rows], axis=-1), 16)
     if d.modes is None:
-        want = rmat_eval(d.qp(), s.ravel()).reshape(*s.shape, p, p + d.m)
+        want = rmat_eval(d.qp(), s)
     else:
         lam, R = d.modes
         want = np.tensordot(1.0 / (s[..., None] - lam), R, axes=1)

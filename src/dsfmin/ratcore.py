@@ -6,6 +6,8 @@ Coefficients are double-precision reals in ascending degree order
 finding goes through the companion matrix of the monic polynomial
 (``Polynomial.roots``, the one root finder), and
 ``RationalFunction.poles()`` keeps each entry's denominator roots.
+Entries read together (``_all_den_roots``) find the roots of one
+denominator, by value, once.
 
 ``from_pole_residue`` needs no root finding and no cancellation: poles
 given more than once are merged exactly (their residues summed), and
@@ -50,6 +52,18 @@ TOL_EVAL = 1e-8
 
 # relative floor below which trailing coefficients count as arithmetic noise
 _CHOP_REL = 1e-12
+
+
+def _chopped_lengths(c):
+    """Coefficients left of each polynomial of ``c`` by ``Polynomial.chop``.
+
+    ``c`` holds ascending coefficients along its last axis, one polynomial
+    or a stack.  Trailing coefficients at or below ``_CHOP_REL`` times the
+    polynomial's largest are dropped; 0 means none is left.
+    """
+    a = np.abs(c)
+    keep = a > _CHOP_REL * np.max(a, axis=-1, keepdims=True)
+    return np.where(keep.any(axis=-1), c.shape[-1] - np.argmax(keep[..., ::-1], axis=-1), 0)
 
 
 class Polynomial:
@@ -104,13 +118,8 @@ class Polynomial:
 
     def chop(self) -> "Polynomial":
         """Drop trailing coefficients at or below ``_CHOP_REL`` times the largest."""
-        scale = np.max(np.abs(self.coeffs))
-        if scale == 0.0:
-            return Polynomial([0.0])
-        keep = np.flatnonzero(np.abs(self.coeffs) > _CHOP_REL * scale)
-        if not keep.size:
-            return Polynomial([0.0])
-        return self if keep[-1] + 1 == self.coeffs.size else Polynomial(self.coeffs[: keep[-1] + 1])
+        n = _chopped_lengths(self.coeffs)
+        return self if n == self.coeffs.size else Polynomial(self.coeffs[:n])
 
     def roots(self) -> np.ndarray:
         """All complex roots via companion-matrix eigenvalues."""
@@ -122,6 +131,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.coeffs.tolist()})"
+
+
+def _wrapped(coeffs: np.ndarray) -> Polynomial:
+    """Polynomial over ``coeffs``, already float, 1-d and trimmed, as given."""
+    poly = Polynomial.__new__(Polynomial)
+    poly.coeffs = coeffs
+    return poly
 
 
 #: the indeterminate, handy for building expressions like s*Q
@@ -460,9 +476,28 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _all_den_roots(M: RationalMatrix):
-    """(i, j, roots) triples of denominator roots, reduced entries."""
-    return [(i, j, e.poles()) for i, row in enumerate(M.entries) for j, e in enumerate(row)]
+def _all_den_roots(entries):
+    """Denominator roots of ``entries``, concatenated, and the entry each is of.
+
+    Each entry keeps its roots (``poles()``).  Entries that have not found
+    them yet and have one denominator, by value, share one root finding.
+    """
+    found = {}
+    for e in entries:
+        if e._poles is None:
+            key = e.den.coeffs.tobytes()
+            if key in found:
+                e._poles = found[key]
+            else:
+                found[key] = e.poles()
+    roots = [e._poles for e in entries]
+    return (np.concatenate([np.zeros(0, dtype=complex), *roots]),
+            np.repeat(np.arange(len(roots)), [r.size for r in roots]))
+
+
+def _flat(M: RationalMatrix) -> list:
+    """Entries of ``M`` row by row; entry k is (k // M.cols, k % M.cols)."""
+    return [e for row in M.entries for e in row]
 
 
 def rmat_poles(M: RationalMatrix, tol_pole: float = TOL_POLE) -> list:
@@ -471,16 +506,13 @@ def rmat_poles(M: RationalMatrix, tol_pole: float = TOL_POLE) -> list:
     Raises ComplexPolesUnsupported when any entry has a complex pole,
     naming the offending entries.
     """
-    roots = []
-    bad = []
-    for i, j, r in _all_den_roots(M):
-        if r.size and np.max(np.abs(r.imag)) > tol_pole:
-            bad.append((i, j))
-        roots.extend(r.real[np.abs(r.imag) <= tol_pole])
-    if bad:
+    roots, owner = _all_den_roots(_flat(M))
+    complex_ = np.abs(roots.imag) > tol_pole
+    if complex_.any():
+        bad = [divmod(int(k), M.cols) for k in np.unique(owner[complex_])]
         raise ComplexPolesUnsupported(
             f"complex poles in entries {bad}; only real poles are supported")
-    return [float(np.mean(c)) for c in chain_clusters(roots, tol_pole)]
+    return [float(np.mean(c)) for c in chain_clusters(roots.real, tol_pole)]
 
 
 def residue_at(M: RationalMatrix, lam: float, tol_pole: float = TOL_POLE) -> np.ndarray:
@@ -490,30 +522,41 @@ def residue_at(M: RationalMatrix, lam: float, tol_pole: float = TOL_POLE) -> np.
     as in ``rmat_poles``; ``lam`` names the chain it lies in or within
     ``tol_pole`` of.  Each entry gives its residue at its own pole in that
     chain, however far from ``lam``: zero if none, RepeatedPole if two.
+    All entries are read at once, each in the order of its own roots.
     """
-    den_roots = _all_den_roots(M)
-    roots = np.concatenate([np.zeros(0), *(r for _, _, r in den_roots)])
+    entries = _flat(M)
+    roots, owner = _all_den_roots(entries)
     real = roots.real[np.abs(roots.imag) <= tol_pole]
     chain = next((c for c in chain_clusters(real, tol_pole)
                   if c[0] - tol_pole <= lam <= c[-1] + tol_pole), [lam])
     # poles outside the chain (all poles, if none holds lam) lie more than
     # tol_pole beyond its ends
     centre, reach = 0.5 * (chain[-1] + chain[0]), 0.5 * (chain[-1] - chain[0]) + tol_pole
+    near = np.abs(roots - centre) <= reach
+    hit = owner[near]
+    count = np.bincount(hit, minlength=len(entries))
+    if np.any(count > 1):
+        k = int(np.argmax(count > 1))
+        raise RepeatedPole(f"entry ({k // M.cols}, {k % M.cols}) has {count[k]} poles "
+                           f"in the pole of M near {lam}")
     K = np.zeros((M.rows, M.cols))
-    for i, j, r in den_roots:
-        if not r.size:
-            continue
-        near = np.abs(r - centre) <= reach
-        count = int(np.sum(near))
-        if count == 0:
-            continue
-        if count > 1:
-            raise RepeatedPole(
-                f"entry ({i}, {j}) has {count} poles in the pole of M near {lam}")
-        # the denominator is monic, so its derivative at a simple root is
-        # the product of the distances to the other roots
-        root = float(r[near][0].real)
-        K[i, j] = (M.entries[i][j].num(root) / np.prod(root - r[~near])).real
+    if not hit.size:
+        return K
+    root = roots[near].real
+    # the denominator is monic, so its derivative at a simple root is the
+    # product of the distances to the other roots; the root itself counts
+    # as an exact 1, so each entry's product keeps the order of its roots
+    mine = count[owner] == 1
+    sizes = np.bincount(owner)[hit]
+    dist = np.repeat(root, sizes) - roots[mine]
+    dist[near[mine]] = 1.0
+    values = _horner([entries[k].num.coeffs for k in hit], root[:, None])[:, 0]
+    prods = np.multiply.reduceat(dist, np.cumsum(sizes) - sizes)
+    quotient = values / prods
+    # an entry whose roots came out real divides in real arithmetic, as it would alone
+    real_typed = np.array([not np.iscomplexobj(entries[k]._poles) for k in hit])
+    quotient[real_typed] = values[real_typed] / prods.real[real_typed]
+    K.flat[hit] = quotient.real
     return K
 
 
@@ -641,47 +684,55 @@ def merge_poles(poles, residues):
 
 
 def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatrix:
+    """Entries grouped by their poles: one numerator product per group, one chop in all."""
     rows, cols = prf.shape
     lams, K = merge_poles(prf.poles, np.reshape(prf.residues, (-1, rows, cols)))
-    support = K != 0.0
+    K = K.reshape(lams.size, rows * cols).T  # entry k = (k // cols, k % cols) x poles
+    groups = {}  # support mask -> entries with those poles
+    for k, mask in enumerate(K != 0.0):
+        groups.setdefault(mask.tobytes(), []).append(k)
+    # numerators, zero-padded at the high-degree end, which chops nothing more
+    num = np.zeros((rows * cols, lams.size + 1))
+    bases = []
+    for members in groups.values():
+        mask = K[members[0]] != 0.0
+        kept = lams[mask]
+        poles = kept.astype(complex)
+        poles.flags.writeable = False
+        den = Polynomial(npoly.polyfromroots(kept))
+        block = prf.constant.flat[members][:, None] * den.coeffs
+        # one vector-matrix product per entry, stacked, each vector contiguous:
+        # BLAS then sums each in the order it takes for that entry alone
+        residues = np.ascontiguousarray(K[members][:, mask])[:, None]
+        block[:, :-1] += np.matmul(residues, _products_of_others(kept))[:, 0]
+        num[members, :kept.size + 1] = block
+        bases.append((members, den, poles if keep_poles else None))
+    lengths = _chopped_lengths(num)
+    zero, one = Polynomial([0.0]), Polynomial([1.0])
     none = np.zeros(0, dtype=complex)
     none.flags.writeable = False
-    one = Polynomial([1.0])
-    bases = {}  # support mask -> (den, partial products, poles), shared across entries
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            mask = support[:, i, j]
-            key = mask.tobytes()
-            if key not in bases:
-                kept = lams[mask]
-                poles = kept.astype(complex)
-                poles.flags.writeable = False
-                bases[key] = (Polynomial(npoly.polyfromroots(kept)),
-                              _products_of_others(kept), poles)
-            den, partial, poles = bases[key]
-            num = prf.constant[i, j] * den.coeffs
-            num[:-1] += K[mask, i, j] @ partial
-            num = Polynomial(num).chop()
-            if num.is_zero:
-                den, poles = one, none
-            row.append(_raw_ratfun(num, den, poles if keep_poles else None))
-        out.append(row)
-    return RationalMatrix(out)
+    out = [None] * (rows * cols)
+    for members, den, poles in bases:
+        for k in members:
+            n = lengths[k]
+            out[k] = (_raw_ratfun(_wrapped(num[k, :n].copy()), den, poles) if n
+                      else _raw_ratfun(zero, one, none if keep_poles else None))
+    return RationalMatrix([out[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
 def _horner(coeffs: list, pts: np.ndarray) -> np.ndarray:
     """Each polynomial of ascending ``coeffs`` at ``pts``, polynomials x points.
 
-    One Horner pass over the coefficients, stacked and zero-padded at the
-    high-degree end.  A padded step leaves the running value at zero, so
-    each value is bit-identical to ``Polynomial.__call__``.
+    ``pts`` is 1-d, points shared by every polynomial, or a column of one
+    point per polynomial.  One Horner pass over the coefficients, stacked
+    and zero-padded at the high-degree end.  A padded step leaves the
+    running value at zero, so each value is bit-identical to
+    ``Polynomial.__call__``.
     """
     c = np.zeros((len(coeffs), max((x.size for x in coeffs), default=1)))
     for k, x in enumerate(coeffs):
         c[k, :x.size] = x
-    v = np.zeros((len(coeffs), pts.size), dtype=np.result_type(c, pts))
+    v = np.zeros(np.broadcast_shapes((len(coeffs), 1), pts.shape), dtype=np.result_type(c, pts))
     for k in range(c.shape[1] - 1, -1, -1):
         v = c[:, k, None] + v * pts
     return v
@@ -690,27 +741,26 @@ def _horner(coeffs: list, pts: np.ndarray) -> np.ndarray:
 def rmat_eval(M: RationalMatrix, s) -> np.ndarray:
     """Entrywise value of M at the point s, or at each point of an array s.
 
-    An array gives the values stacked, points x rows x cols.  Every pole
-    of every entry is tested against every point at once: one within
-    ``TOL_POLE`` raises EvaluationAtPole.  Values are real when no imaginary
-    part is nonzero.
+    An array of any shape gives the values stacked, s.shape x rows x cols.
+    Every pole of every entry is tested against every point at once: one
+    within ``TOL_POLE`` raises EvaluationAtPole.  Values are real when no
+    imaginary part is nonzero.
     """
     s = np.asarray(s)
-    pts = np.atleast_1d(s)
-    den_roots = _all_den_roots(M)
-    roots = np.concatenate([np.zeros(0), *(r for _, _, r in den_roots)])
+    pts = s.ravel()
+    entries = _flat(M)
+    roots, owner = _all_den_roots(entries)
     at_pole = np.abs(roots[:, None] - pts) <= TOL_POLE
     if at_pole.any():
         point = pts[np.argwhere(at_pole)[0, 1]]
-        i, j = next((i, j) for i, j, r in den_roots if np.any(np.abs(r - point) <= TOL_POLE))
-        raise EvaluationAtPole(f"s0={point} is a pole of entry ({i}, {j})")
-    entries = [e for row in M.entries for e in row]
+        k = int(owner[np.argmax(np.abs(roots - point) <= TOL_POLE)])
+        raise EvaluationAtPole(f"s0={point} is a pole of entry ({k // M.cols}, {k % M.cols})")
     values = (_horner([e.num.coeffs for e in entries], pts)
               / _horner([e.den.coeffs for e in entries], pts))
     out = np.moveaxis(values.reshape(M.rows, M.cols, pts.size), -1, 0)
     if np.iscomplexobj(out) and not np.any(out.imag):
         out = out.real
-    return out if s.ndim else out[0]
+    return out.reshape(*s.shape, M.rows, M.cols)
 
 
 def rmat_det(M: RationalMatrix) -> RationalFunction:
@@ -762,6 +812,6 @@ def rmat_equal(M1: RationalMatrix, M2: RationalMatrix,
     if M1.shape != M2.shape:
         raise ShapeMismatch(f"shapes {M1.shape} and {M2.shape} differ")
     both = RationalMatrix.hstack(M1, M2)
-    pts = off_pole_points(np.concatenate([e.poles() for row in both.entries for e in row]), 16)
+    pts = off_pole_points(_all_den_roots(_flat(both))[0], 16)
     values = rmat_eval(both, pts)
     return values_agree(values[..., :M1.cols], values[..., M1.cols:], tol_eval)

@@ -21,6 +21,8 @@ from .ratcore import (
     PoleResidueForm,
     Polynomial,
     RationalMatrix,
+    _all_den_roots,
+    _flat,
     _raw_ratfun,
     off_pole_points,
     rmat_eval,
@@ -148,7 +150,8 @@ def transfer_from_blocks(A, B, C, D) -> RationalMatrix:
 
     Entry (i, j) comes from the minimal part (A_ij, b, c) of (A, b_j, c_i)
     that ``kalman_reduce`` leaves, so its numerator and denominator share
-    no root.  By the matrix determinant lemma the numerator is
+    no root; the reachable part of (A, b_j) is found once per column.  By
+    the matrix determinant lemma the numerator is
     char(A_ij - b c) - char(A_ij) + D_ij char(A_ij) over char(A_ij), each
     characteristic polynomial built from eigenvalues.
     """
@@ -159,11 +162,12 @@ def transfer_from_blocks(A, B, C, D) -> RationalMatrix:
         return RationalMatrix.from_real(D)
     B = np.asarray(B, dtype=float).reshape(n, -1)
     C = np.asarray(C, dtype=float).reshape(-1, n)
+    reachable = [_reachable_part(A, B[:, [j]]) for j in range(D.shape[1])]
     out = []
     for i in range(D.shape[0]):
         row = []
         for j in range(D.shape[1]):
-            Aij, b, c = kalman_reduce(A, B[:, [j]], C[[i]])
+            Aij, b, c = _observable_part(A, C[[i]], *reachable[j])
             char, char_scale = _char_poly(Aij)
             pert, pert_scale = _char_poly(Aij - b @ c)
             num = pert - char
@@ -263,12 +267,21 @@ def kalman_reduce(A, B, C):
     rounding level counts as zero.  The result has the same transfer
     C (sI - A)^(-1) B and its order is the McMillan degree, possibly zero.
     """
-    scale_a = np.linalg.norm(A)
+    return _observable_part(A, C, *_reachable_part(A, B))
+
+
+def _reachable_part(A, B):
+    """Z^T A Z, Z^T B and Z, Z an orthonormal basis of the reachable subspace of (A, B)."""
     Bs = B / column_norms(B)
-    Z = _reachable_basis(A, Bs, np.linalg.norm(Bs), scale_a)
-    Ar, Br, Cr = Z.T @ A @ Z, Z.T @ B, C @ Z
+    Z = _reachable_basis(A, Bs, np.linalg.norm(Bs), np.linalg.norm(A))
+    return Z.T @ A @ Z, Z.T @ B, Z
+
+
+def _observable_part(A, C, Ar, Br, Z):
+    """``kalman_reduce``'s second step, on the reachable part of (A, B) and a C."""
+    Cr = C @ Z
     c = column_norms(C.T)
-    Z = _reachable_basis(Ar.T, Cr.T / c, np.linalg.norm(C.T / c), scale_a)
+    Z = _reachable_basis(Ar.T, Cr.T / c, np.linalg.norm(C.T / c), np.linalg.norm(A))
     return Z.T @ Ar @ Z, Z.T @ Br, Cr @ Z
 
 
@@ -344,7 +357,7 @@ def normal_rank(M: RationalMatrix) -> int:
 
     One ``rmat_eval`` at all eight, one stacked SVD.
     """
-    points = off_pole_points(np.concatenate([e.poles() for row in M.entries for e in row]), 8)
+    points = off_pole_points(_all_den_roots(_flat(M))[0], 8)
     sv = np.linalg.svd(rmat_eval(M, points), compute_uv=False)
     return int(np.max(numerical_rank(sv, TOL_RANK)))
 

@@ -593,6 +593,33 @@ class TestCarriedRowData:
                 want = residue_at(qp, lam, d.tol_pole)
                 assert np.max(np.abs(K - want)) <= 1e-8 * np.max(np.abs(want))
 
+    def test_roots_found_once_per_distinct_denominator(self, monkeypatch):
+        calls = []
+        roots = ratcore.Polynomial.roots
+
+        def counted(poly):
+            calls.append(poly.coeffs.tobytes())
+            return roots(poly)
+
+        monkeypatch.setattr(ratcore.Polynomial, "roots", counted)
+        rng = np.random.default_rng(37)
+        for l in (2, 3, 4, 6):
+            for _ in range(5):
+                poles, KQ, KP = random_pole_residue(rng, 4, 2, l)
+                Q = from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((4, 4))))
+                P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((4, 2))))
+                entries = [e for M in (Q, P) for row in M.entries for e in row]
+                del calls[:]
+                d = DSF(Q, P)
+                assert sorted(calls) == sorted({e.den.coeffs.tobytes() for e in entries
+                                                if e.den.degree() > 0})
+                del calls[:]
+                for e in entries:
+                    e.poles()
+                rmat_poles(d.qp())
+                minreal_pipeline(d)
+                assert calls == []
+
     def test_rational_entries_carry_residue_at(self, ex1_partition):
         d = compute_dsf(ex1_partition)
         for rational in (DSF(d.Q, d.P), random_dsf(np.random.default_rng(3), 3, 2, 4)):

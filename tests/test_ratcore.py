@@ -1,6 +1,7 @@
 """Polynomial, rational-function, and rational-matrix arithmetic."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from dsfmin import (
@@ -30,7 +31,7 @@ from dsfmin.errors import (
     ZeroDenominator,
     ZeroPolynomial,
 )
-from dsfmin.ratcore import S_POLY, from_known_poles
+from dsfmin.ratcore import S_POLY, _products_of_others, from_known_poles
 
 from conftest import EX2_D1, ZERO, random_dsf, rf, rmat
 
@@ -147,6 +148,20 @@ class TestResidueAt:
         with pytest.raises(RepeatedPole):
             residue_at(M, -2.0)
 
+    def test_repeated_pole_names_first_entry_row_by_row(self):
+        twice = ([1], [4, 4, 1])  # 1/(s+2)^2
+        M = rmat([[([1], [2, 1]), ZERO, twice], [twice, ([1], [1, 1]), ZERO]])
+        with pytest.raises(RepeatedPole, match=r"entry \(0, 2\) has 2 poles"):
+            residue_at(M, -2.0)
+
+    def test_equals_each_entry_alone(self, ex2_dsf):
+        rng = np.random.default_rng(23)
+        mats = [random_dsf(rng, 4, 2, l).qp() for l in range(1, 7) for _ in range(5)]
+        mats += [ex2_dsf.qp(), _ex2_qp().scale(S_POLY)]
+        for M in mats:
+            for lam in rmat_poles(M):
+                assert np.array_equal(residue_at(M, lam), _residue_entry_by_entry(M, lam))
+
 
 class TestPoleResidueForms:
     def test_ex2_constant_term(self):
@@ -260,6 +275,36 @@ class TestPoleResidueForms:
         prf = PoleResidueForm(np.array([-1.0 + 0.0j]), [one + 0.0j], np.zeros((1, 1)))
         assert prf.poles.dtype == float and prf.poles[0] == -1.0
 
+    def test_entries_equal_each_entry_built_alone(self):
+        rng = np.random.default_rng(29)
+        for l in (1, 2, 4, 8, 12):
+            prf = _random_dsf_form(rng, 4, 2, l)
+            prf.constant[1, 3] = 0.5
+            M = from_pole_residue(prf)
+            K = np.array(prf.residues)
+            for i in range(M.rows):
+                for j in range(M.cols):
+                    kept = K[:, i, j] != 0.0
+                    den = npoly.polyfromroots(prf.poles[kept])
+                    num = prf.constant[i, j] * den
+                    num[:-1] += K[kept, i, j] @ _products_of_others(prf.poles[kept])
+                    num = Polynomial(num).chop()
+                    e = M.entry(i, j)
+                    assert np.array_equal(e.num.coeffs, num.coeffs)
+                    assert np.array_equal(e.den.coeffs, [1.0] if num.is_zero else den)
+
+    def test_numerator_zero_in_a_group_that_keeps_poles(self):
+        # both entries have both poles; the first entry's residues, 5e-324 and
+        # -5e-324, leave a numerator that rounds to zero, the second's do not
+        prf = PoleResidueForm([-0.5, -0.25], [[[5e-324, 1.0]], [[-5e-324, 2.0]]],
+                              np.zeros((1, 2)))
+        for M in (from_pole_residue(prf), from_known_poles(prf)):
+            zero, kept = M.entry(0, 0), M.entry(0, 1)
+            assert zero.is_zero and zero.den.coeffs.tolist() == [1.0]
+            assert zero.poles().size == 0
+            assert kept.den.degree() == 2
+            assert sorted(kept.poles().real.tolist()) == [-0.5, -0.25]
+
     def test_known_poles_entries_keep_their_poles(self, monkeypatch):
         rng = np.random.default_rng(47)
         prf = _random_dsf_form(rng, 4, 2, 8)
@@ -280,6 +325,24 @@ class TestPoleResidueForms:
                 kept = prf.poles[np.abs(K[:, i, j]) > 1e-12 * np.max(np.abs(K[:, i, j]))]
                 assert np.array_equal(e.poles(), kept)
         assert rmat_poles(got) == sorted(prf.poles.tolist())
+
+
+def _residue_entry_by_entry(M, lam, tol_pole=1e-6):
+    """residue_at, one entry at a time: num(r) / prod(r - other roots) at the
+    entry's one root in the chain of entry poles that holds ``lam``."""
+    poles = [e.poles() for row in M.entries for e in row]
+    roots = np.concatenate([np.zeros(0), *poles])
+    chains = np.split(np.sort(roots.real), np.flatnonzero(np.diff(np.sort(roots.real)) > tol_pole) + 1)
+    chain = next(c for c in chains if c[0] - tol_pole <= lam <= c[-1] + tol_pole)
+    centre, reach = 0.5 * (chain[-1] + chain[0]), 0.5 * (chain[-1] - chain[0]) + tol_pole
+    K = np.zeros((M.rows, M.cols))
+    for k, r in enumerate(poles):
+        near = np.abs(r - centre) <= reach
+        if np.any(near):
+            root = float(r[near][0].real)
+            K.flat[k] = (M.entries[k // M.cols][k % M.cols].num(root)
+                         / np.prod(root - r[~near])).real
+    return K
 
 
 def _random_dsf_form(rng, p, m, l):
@@ -364,6 +427,18 @@ class TestRmatEval:
                 assert got.tobytes() == want.tobytes()
             assert rmat_eval(M, 2.5).tobytes() == np.array(
                 [[e(2.5) for e in row] for row in M.entries]).tobytes()
+
+
+    def test_any_shape_of_points(self, ex2_dsf):
+        M = ex2_dsf.qp()
+        for s in (np.array(0.5 + 1.0j), np.array([0.5, 1.5, 2.5]),
+                  np.array([[0.5, 1.0j], [2.0, 3.0 - 1.0j]]), np.array([[0.5, 1.5, 2.5]])):
+            got = rmat_eval(M, s)
+            assert got.shape == s.shape + (3, 4)
+            for idx in np.ndindex(s.shape):
+                # a stack is complex when any of its values is
+                one = rmat_eval(M, s[idx]).astype(got.dtype)
+                assert got[idx].tobytes() == one.tobytes()
 
 
 class TestRmatInverse:

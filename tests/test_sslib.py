@@ -16,11 +16,13 @@ from dsfmin import (
     rmat_eval,
     transfer_function,
 )
+from dsfmin import sslib
 from dsfmin.errors import RankDeficientC
-from dsfmin.ratcore import S_POLY
-from dsfmin.sslib import transfer_from_blocks
+from dsfmin.ratcore import S_POLY, Polynomial
+from dsfmin.sslib import PartitionedRealization, transfer_from_blocks
 
 from conftest import EX2_E_DIRECTIONS, ZERO, ex1_matrices, rmat
+from test_dsf import _relay_blocks
 
 
 def _ex2_sqp():
@@ -88,6 +90,53 @@ class TestTransferFunction:
                 want = C @ np.linalg.solve(s * np.eye(n) - A, B)
                 err = np.max(np.abs(rmat_eval(G, s) - want)) / np.max(np.abs(want))
                 assert err <= 1e-10
+
+
+    def test_one_reachable_part_per_column(self, ex1_partition, monkeypatch):
+        # the staircase of (A, b_j) is taken once per column and gives each
+        # entry exactly what one kalman_reduce per entry gives
+        calls = []
+        reachable = sslib._reachable_part
+
+        def counted(A, B):
+            calls.append(B.shape)
+            return reachable(A, B)
+
+        monkeypatch.setattr(sslib, "_reachable_part", counted)
+        relay_blocks = _relay_blocks()
+        rng = np.random.default_rng(31)
+        parts = [ex1_partition]
+        for size in ((3, 2), (4, 3), (5, 4)):
+            for _ in range(4):
+                b = relay_blocks(rng, *size, 2)
+                parts.append(PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2))
+        for part in parts:
+            for blocks in ((part.A22, part.A21, part.A12, part.A11),
+                           (part.A22, part.B2, part.A12, part.B1)):
+                del calls[:]
+                G = transfer_from_blocks(*blocks)
+                assert len(calls) == G.cols
+                for i, row in enumerate(_transfer_entry_by_entry(*blocks)):
+                    for j, (num, den) in enumerate(row):
+                        assert np.array_equal(G.entry(i, j).num.coeffs, num)
+                        assert np.array_equal(G.entry(i, j).den.coeffs, den)
+
+
+def _transfer_entry_by_entry(A, B, C, D):
+    """transfer_from_blocks with one kalman_reduce per entry: (num, den) coefficients."""
+    out = []
+    for i in range(D.shape[0]):
+        row = []
+        for j in range(D.shape[1]):
+            Aij, b, c = kalman_reduce(A, B[:, [j]], C[[i]])
+            char, char_scale = sslib._char_poly(Aij)
+            pert, pert_scale = sslib._char_poly(Aij - b @ c)
+            num = pert - char
+            num[np.abs(num) <= 1e-12 * np.maximum(char_scale, pert_scale)] = 0.0
+            num = Polynomial(num + D[i, j] * char)
+            row.append((num.coeffs, [1.0] if num.is_zero else Polynomial(char).coeffs))
+        out.append(row)
+    return out
 
 
 class TestOutputNormalForm:
