@@ -32,6 +32,7 @@ from .minreal import (
     minimal_order,
     minreal_pipeline,
     realize,
+    transfer_degree,
 )
 from .ratcore import (
     PoleResidueForm,

@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatch,
     ZeroDenominator,
 )
-from .minreal import TOL_ORTH, minimal_order, minreal_pipeline
+from .minreal import TOL_ORTH, minimal_order, minreal_pipeline, transfer_degree
 from .ratcore import (
     TOL_EVAL,
     TOL_POLE,
@@ -56,7 +56,6 @@ from .sslib import (
     TOL_RANK,
     PartitionedRealization,
     StateSpace,
-    kalman_reduce,
     output_normal_form,
 )
 
@@ -262,28 +261,11 @@ def _write_json(obj, path):
 
 
 def build_report(d: DSF, result) -> str:
-    """The text report of a pipeline result for the structure function d.
-
-    The McMillan degree of G = (I - Q)^(-1) P comes from the modes.  Every
-    residue has rank 1, so A = diag(lam_i), the columns E_i / (lam_i - a)
-    of C and the rows F_i of [By Bu] are a minimal realization of [Q P].
-    Closed through the output, (A + By C, Bu, C) realizes G, and the
-    degree is the order ``kalman_reduce`` leaves of it.  The factor
-    1 / (lam_i - a) goes on C because E_i F_i is (lam_i - a) times the
-    residue with F_i of unit norm, so E_i carries the factor lam_i - a;
-    divided by it, each column of C is the size of its residue.  Put on B
-    instead, the factor would leave C's column at a pole near the origin
-    (with a = 0) near rounding level, and ``kalman_reduce``, which ranks
-    against the largest, would drop that mode as unobservable.
-    """
+    """The text report of a pipeline result for the structure function d."""
     g = result.gilbert
-    C = g.E.T / (np.array(g.poles, dtype=float) - g.shift)
-    B = g.F
-    A = np.diag(g.poles) + B[:, :d.p] @ C
-    degree = kalman_reduce(A, B[:, d.p:], C)[0].shape[0]
     out = [f"measured states p = {d.p}, inputs m = {d.m}",
            f"poles of [Q P] (l = {result.l}): " + ", ".join(_fmt(x) for x in g.poles),
-           f"mcmillan degree of G: {degree}",
+           f"mcmillan degree of G: {transfer_degree(g)}",
            f"max simultaneous cancellations phi = {result.phi}"]
     sets = "; ".join("{" + ", ".join(_fmt(g.poles[i]) for i in c) + "}"
                      for c in result.cliques.cliques)

@@ -36,7 +36,6 @@ from .errors import (
     ComplexPolesUnsupported,
     RepeatedPole,
     ShapeMismatch,
-    SingularIminusQ,
 )
 from .ratcore import (
     TOL_EVAL,
@@ -375,8 +374,6 @@ def dsf_to_transfer(d: DSF) -> RationalMatrix:
     prf = PoleResidueForm(d.poles, d.residues, np.zeros((d.p, d.p + d.m)))
     qp_ss = gilbert_from_pole_residue(prf)
     Acl = qp_ss.A + qp_ss.B[:, :d.p] @ qp_ss.C
-    if not np.isfinite(Acl).all():
-        raise SingularIminusQ("det(I - Q) is identically zero")
     return transfer_from_blocks(Acl, qp_ss.B[:, d.p:], qp_ss.C, np.zeros((d.p, d.m)))
 
 

@@ -50,10 +50,6 @@ class SingularRationalMatrix(DsfminError):
     """Determinant is identically zero."""
 
 
-class SingularIminusQ(SingularRationalMatrix):
-    """det(I - Q) is identically zero; no transfer function exists."""
-
-
 class ShapeMismatch(DsfminError):
     """Operands have incompatible dimensions."""
 

@@ -32,6 +32,7 @@ from .sslib import (
     StateSpace,
     factor_signs,
     is_invariant_zero,
+    kalman_reduce,
     numerical_rank,
 )
 
@@ -204,19 +205,26 @@ def maximum_cliques(cg: CompatGraph, enumerate_all: bool = False) -> CliqueResul
 
 @dataclass
 class MinimalOrder:
+    """l poles, phi removable at once: order p + l - phi, l - phi hidden states."""
+
     l: int
     phi: int
     order: int
     hidden: int
 
 
+def _search(d: DSF, enumerate_all: bool, tol_rank: float, tol_orth: float):
+    """The one search: modes, compatibility graph, maximum cliques, and their answer."""
+    g = extract_modes(d, tol_rank=tol_rank)
+    cg = compatibility_graph(g, tol_orth=tol_orth)
+    cl = maximum_cliques(cg, enumerate_all)
+    return g, cg, cl, MinimalOrder(g.l, cl.phi, d.p + g.l - cl.phi, g.l - cl.phi)
+
+
 def minimal_order(d: DSF, *, tol_rank: float = TOL_RANK,
                   tol_orth: float = TOL_ORTH) -> MinimalOrder:
     """Order p + l - phi of the smallest consistent realization."""
-    g = extract_modes(d, tol_rank=tol_rank)
-    cg = compatibility_graph(g, tol_orth=tol_orth)
-    phi = maximum_cliques(cg).phi
-    return MinimalOrder(g.l, phi, d.p + g.l - phi, g.l - phi)
+    return _search(d, False, tol_rank, tol_orth)[3]
 
 
 def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar:
@@ -323,14 +331,12 @@ class RealizationReport:
 
 
 @dataclass
-class PipelineResult:
+class PipelineResult(MinimalOrder):
+    """The search's answer, what it went through, and one report per realized clique."""
+
     gilbert: GilbertData
     graph: CompatGraph
     cliques: CliqueResult
-    l: int
-    phi: int
-    order: int
-    hidden: int
     realizations: list
 
 
@@ -373,31 +379,43 @@ def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = T
     lexicographically, when enumerate_all is off), each verified for
     consistency against the input structure function.  Every clique's
     R*, flags and realization are built first; then the realizations
-    are verified as stacks, one ``consistency_check`` and one
-    ``_zero_point_tests`` per number of hidden states.  Each maximum
-    clique has phi members and its R* removes exactly those poles, so
-    all realizations of one search share one shape and make one stack.
+    are verified as one stack, with one ``consistency_check`` and one
+    ``_zero_point_tests``.  Each maximum clique has phi members and its
+    R* removes exactly those poles, so all realizations of one search
+    share one shape.
     """
-    g = extract_modes(d, tol_rank=tol_rank)
-    cg = compatibility_graph(g, tol_orth=tol_orth)
-    cl = maximum_cliques(cg, enumerate_all)
-    order = d.p + g.l - cl.phi
-    reports, fulls, stacks = [], [], {}
+    g, cg, cl, answer = _search(d, enumerate_all, tol_rank, tol_orth)
+    reports, fulls = [], []
     for clique in cl.cliques:
         rstar = construct_rstar(g, clique, tol_orth)
         rvec = rstar.materialize()
         flags = cancellation_check(g, rstar, tol_orth)
-        keep = [i for i, f in enumerate(flags) if not f]
-        part = _assemble(g, rvec, keep)
-        fulls.append(part if len(keep) == g.l else _assemble(g, rvec, range(g.l)))
+        part = _assemble(g, rvec, [i for i, f in enumerate(flags) if not f])
+        fulls.append(_assemble(g, rvec, range(g.l)))
         cancelled = [g.poles[i] for i in range(g.l) if flags[i]]
-        stacks.setdefault(part.h, []).append(len(reports))
         reports.append(RealizationReport(rstar, part, part.order, cancelled, flags, None))
-    for members in stacks.values():
-        stack = [reports[k] for k in members]
-        consistent = consistency_check([r.realization for r in stack], d, tol_eval)
-        checks = _zero_point_tests(g, [r.cancellation_flags for r in stack],
-                                   [fulls[k] for k in members], tol_rank)
-        for r, ok, zero_checks in zip(stack, consistent, checks):
-            r.consistent, r.zero_checks = ok, zero_checks
-    return PipelineResult(g, cg, cl, g.l, cl.phi, order, g.l - cl.phi, reports)
+    consistent = consistency_check([r.realization for r in reports], d, tol_eval)
+    checks = _zero_point_tests(g, [r.cancellation_flags for r in reports], fulls, tol_rank)
+    for r, ok, zero_checks in zip(reports, consistent, checks):
+        r.consistent, r.zero_checks = ok, zero_checks
+    return PipelineResult(**vars(answer), gilbert=g, graph=cg, cliques=cl, realizations=reports)
+
+
+def transfer_degree(g: GilbertData) -> int:
+    """McMillan degree of G = (I - Q)^(-1) P, from the modes of [sQ sP].
+
+    Every residue has rank 1, so A = diag(lam_i), the columns
+    E_i / (lam_i - a) of C and the rows F_i of [By Bu] are a minimal
+    realization of [Q P].  Closed through the output, (A + By C, Bu, C)
+    realizes G, and the degree is the order ``kalman_reduce`` leaves of
+    it.  The factor 1 / (lam_i - a) goes on C because E_i F_i is
+    (lam_i - a) times the residue with F_i of unit norm, so E_i carries
+    the factor lam_i - a; divided by it, each column of C is the size of
+    its residue.  Put on B instead, the factor would leave C's column at a
+    pole near the origin (with a = 0) near rounding level, and
+    ``kalman_reduce``, which ranks against the largest, would drop that
+    mode as unobservable.
+    """
+    C = g.E.T / (np.array(g.poles, dtype=float) - g.shift)
+    A = np.diag(g.poles) + g.F[:, :g.p] @ C
+    return kalman_reduce(A, g.F[:, g.p:], C)[0].shape[0]

@@ -272,6 +272,15 @@ class TestDsfInvariantsAtConstruction:
         with pytest.raises(RepeatedPole):
             DSF(Q, P)
 
+    @pytest.mark.parametrize("q_shape, p_shape, message", [
+        ((2, 3), (2, 1), "Q must be square"),
+        ((2, 2), (3, 1), "P must have as many rows as Q"),
+    ], ids=["Q_not_square", "P_rows_differ"])
+    def test_shape_mismatch_rejected(self, q_shape, p_shape, message):
+        Q, P = (rmat([[ZERO] * cols for _ in range(rows)]) for rows, cols in (q_shape, p_shape))
+        with pytest.raises(ShapeMismatch, match=message):
+            DSF(Q, P)
+
     def test_sixteen_pole_draws_are_strictly_proper(self):
         rng = np.random.default_rng(16)
         for _ in range(30):

@@ -5,6 +5,7 @@ import pytest
 
 from dsfmin import (
     DSF,
+    MinimalOrder,
     PoleResidueForm,
     RStar,
     boolean_structure,
@@ -16,11 +17,13 @@ from dsfmin import (
     dsf_to_transfer,
     extract_modes,
     from_pole_residue,
+    kalman_reduce,
     maximum_cliques,
     minimal_order,
     minreal_pipeline,
     realize,
     rmat_equal,
+    transfer_degree,
     transfer_function,
 )
 from dsfmin.errors import (
@@ -47,6 +50,7 @@ from conftest import (
     EX2_RESIDUES,
     ZERO,
     random_dsf,
+    random_pole_residue,
     rmat,
 )
 from test_dsf import _relay_blocks
@@ -540,3 +544,72 @@ class TestStackedChecks:
         ranks = _normal_ranks(*(np.stack([getattr(ss, key) for ss in stack]) for key in "ABCD"),
                               TOL_RANK)
         assert ranks.tolist() == [_transfer_normal_rank(ss, TOL_RANK) for ss in stack] == [2, 1, 2]
+
+
+def _minimal_part_order(part):
+    ss = part.assemble()
+    return kalman_reduce(ss.A, ss.B, ss.C)[0].shape[0]
+
+
+class TestOneAnswerType:
+    """The pipeline's answer is the ``MinimalOrder`` of its own search."""
+
+    @staticmethod
+    def dsfs():
+        relay_blocks = _relay_blocks()
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            for _ in range(12):
+                for size in ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4)):
+                    b = relay_blocks(rng, *size, 2)
+                    yield compute_dsf(PartitionedRealization(b.A11, b.A12, b.A21, b.A22,
+                                                             b.B1, b.B2))
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            yield random_dsf(rng, 3, 2, int(rng.integers(2, 5)))
+
+    def test_pipeline_result_is_the_minimal_order(self):
+        for d in self.dsfs():
+            mo = minimal_order(d)
+            for enumerate_all in (False, True):
+                res = minreal_pipeline(d, enumerate_all=enumerate_all)
+                assert isinstance(res, MinimalOrder)
+                assert (res.l, res.phi, res.order, res.hidden) == \
+                    (mo.l, mo.phi, mo.order, mo.hidden)
+
+
+class TestTransferDegree:
+    """The McMillan degree of G against the minimal part of a system realizing G."""
+
+    def test_equals_the_minimal_part_of_every_realization(self):
+        # a consistent realization with C = [I 0] realizes G = (I - Q)^(-1) P
+        rng = np.random.default_rng(2)
+        for l in (2, 3, 4, 6, 8):
+            for _ in range(30):
+                poles, KQ, KP = random_pole_residue(rng, 4, 2, l)
+                d = DSF.from_modes(poles, np.concatenate([KQ, KP], axis=2))
+                res = minreal_pipeline(d, enumerate_all=True)
+                degree = transfer_degree(res.gilbert)
+                for r in res.realizations:
+                    assert r.consistent
+                    assert _minimal_part_order(r.realization) == degree
+
+    def test_equals_the_minimal_part_of_the_relay_system(self):
+        relay_blocks = _relay_blocks()
+        rng = np.random.default_rng(4)
+        for _ in range(9):
+            for p in range(3, 7):
+                for h in range(2, 7):
+                    b = relay_blocks(rng, p, h, 2)
+                    part = PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
+                    g = extract_modes(compute_dsf(part))
+                    assert transfer_degree(g) == _minimal_part_order(part)
+
+    def test_pole_near_the_origin_without_shift(self):
+        # at tol_pole 1e-12 the pole 5e-10 is off the origin, so no shift is taken
+        KQ = [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]
+        KP = [[[0], [1]], [[1], [0]]]
+        d = DSF.from_modes([5e-10, -2.0], np.concatenate([KQ, KP], axis=2), 1e-12)
+        g = extract_modes(d)
+        assert g.shift == 0.0
+        assert transfer_degree(g) == 2

@@ -275,6 +275,14 @@ class TestPoleResidueForms:
         prf = PoleResidueForm(np.array([-1.0 + 0.0j]), [one + 0.0j], np.zeros((1, 1)))
         assert prf.poles.dtype == float and prf.poles[0] == -1.0
 
+    @pytest.mark.parametrize("poles, residue_shape, message", [
+        ([-1.0, -2.0], (2, 2), "pole and residue counts differ"),
+        ([-1.0], (2, 3), "residue shape differs from constant term"),
+    ], ids=["count_differs", "residue_shape_differs"])
+    def test_shape_mismatch_rejected(self, poles, residue_shape, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            PoleResidueForm(poles, [np.ones(residue_shape)], np.zeros((2, 2)))
+
     def test_entries_equal_each_entry_built_alone(self):
         rng = np.random.default_rng(29)
         for l in (1, 2, 4, 8, 12):

@@ -17,7 +17,7 @@ from dsfmin import (
     transfer_function,
 )
 from dsfmin import sslib
-from dsfmin.errors import RankDeficientC
+from dsfmin.errors import RankDeficientC, ShapeMismatch
 from dsfmin.ratcore import S_POLY, Polynomial
 from dsfmin.sslib import PartitionedRealization, transfer_from_blocks
 
@@ -177,6 +177,15 @@ class TestOutputNormalForm:
         ss = StateSpace(np.diag([-1.0, -2.0]), np.ones((2, 1)),
                         np.array([[1.0, 0.0], [2.0, 0.0]]))
         with pytest.raises(RankDeficientC):
+            output_normal_form(ss)
+
+    @pytest.mark.parametrize("C, D, error, message", [
+        (np.eye(2), np.ones((2, 1)), ValueError, "requires zero feedthrough"),
+        (np.ones((3, 2)), None, ShapeMismatch, "more outputs than states"),
+    ], ids=["nonzero_feedthrough", "more_outputs_than_states"])
+    def test_unsupported_systems_rejected(self, C, D, error, message):
+        ss = StateSpace(np.diag([-1.0, -2.0]), np.ones((2, 1)), C, D)
+        with pytest.raises(error, match=message):
             output_normal_form(ss)
 
 
