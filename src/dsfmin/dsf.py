@@ -18,12 +18,14 @@ ill-conditioned eigenbasis) or that sees nothing above rounding level
 is first reduced to the modes it sees by an orthogonal staircase
 (``sslib.kalman_reduce``).
 ``DSF.from_modes`` keeps the rows' poles and residues, as it keeps those
-of a ``dsf_pole_residue`` file, and builds no rational entry; ``Q`` and
-``P`` are built on first read.  ``DSF(Q, P)`` evaluates each residue of
+of a ``dsf_pole_residue`` file, and builds no rational entry; ``qp()``
+builds [Q P] on first use.  ``DSF(Q, P)`` evaluates each residue of
 its rational entries once, when built, so every consumer of a ``DSF``
-reads ``d.residues``.  ``DSF`` judges repeated poles by one rule for
-every input: no entry may have two poles in one pole of [Q P], the
-entries' poles chained at ``tol_pole``.
+reads ``d.residues``.  Either way a ``DSF`` holds [Q P] as one matrix,
+built once, and ``Q`` and ``P`` are slices of it.  ``DSF`` judges
+repeated poles by one rule for every input: no entry may have two poles
+in one pole of [Q P], the entries' poles chained at ``tol_pole``.  It
+numbers the entries row by row over [Q P], as ``ratcore`` does.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .ratcore import (
     PoleResidueForm,
     RationalMatrix,
     _all_den_roots,
+    _flat,
     chain_clusters,
     from_known_poles,
     merge_poles,
@@ -63,21 +66,14 @@ from .sslib import (
 TOL_STRUCT = 1e-9
 
 
-def _cluster_of(x, clusters) -> np.ndarray:
-    """Index into ``clusters``, from ``chain_clusters``, of each value of ``x``."""
-    return np.searchsorted([c[0] for c in clusters], x, side="right") - 1
-
-
 def _entry_name(k: int, p: int, m: int) -> str:
-    """Name of entry k of [Q P], counted row by row through Q, then through P."""
-    if k < p * p:
-        return f"Q[{k // p}][{k % p}]"
-    i, j = divmod(k - p * p, m)
-    return f"P[{i}][{j}]"
+    """Name of entry k of [Q P], counted row by row, as ``_flat`` counts."""
+    i, j = divmod(k, p + m)
+    return f"Q[{i}][{j}]" if j < p else f"P[{i}][{j - p}]"
 
 
-def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: float) -> list:
-    """The one rule on the entries of [Q P]; returns the poles of [Q P].
+def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: float) -> tuple:
+    """The one rule on the entries of [Q P]; returns its poles and each root's chain.
 
     Entry k is named by ``_entry_name``; ``zero[k]`` and ``improper[k]``
     say whether it is identically zero and whether it is not strictly
@@ -86,9 +82,10 @@ def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: flo
     strictly proper and every pole real, and no entry may have two poles
     that chain, at ``tol_pole`` over the poles of all entries, into one
     pole of [Q P].  The poles of [Q P] are those chains, one mean each,
-    ascending.
+    ascending; the second result gives, for each root, the index of its
+    chain among them.
     """
-    diag = np.arange(p) * (p + 1)
+    diag = np.arange(p) * (p + m + 1)
     nonzero = diag[~zero[diag]]
     if nonzero.size:
         raise ValueError(f"{_entry_name(int(nonzero[0]), p, m)} must be identically zero")
@@ -99,12 +96,13 @@ def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: flo
         raise ComplexPolesUnsupported(f"{_entry_name(int(owner[np.argmax(complex_)]), p, m)} "
                                       "has complex poles; only real poles are supported")
     clusters = chain_clusters(roots.real, tol_pole)
-    hits = np.sort(owner * len(clusters) + _cluster_of(roots.real, clusters))
+    chain = np.searchsorted([c[0] for c in clusters], roots.real, side="right") - 1
+    hits = np.sort(owner * len(clusters) + chain)
     twice = hits[1:][np.diff(hits) == 0]
     if twice.size:
         raise RepeatedPole(f"{_entry_name(int(twice[0]) // len(clusters), p, m)} has two "
                            "poles that chain into one pole of [Q P]")
-    return [float(np.mean(c)) for c in clusters]
+    return [float(np.mean(c)) for c in clusters], chain
 
 
 class DSF:
@@ -119,8 +117,11 @@ class DSF:
     sets ``modes`` to None.  ``from_modes`` keeps ``modes``, a pair
     (lam, R) with [Q P] = sum_n R_n / (s - lam_n): the entries' distinct
     poles, unchained, and their n x p x (p+m) residues; K_k sums the R_n
-    whose lam_n chain into pole k.  Its rational entries ``Q`` and ``P``
-    are built from ``modes`` on first read and then kept.
+    whose lam_n chain into pole k.  Both number the entries row by row
+    over [Q P], as ``_flat`` does, and an error names the first bad one.
+    ``qp()`` is one matrix, built once: ``DSF(Q, P)`` stacks Q and P,
+    ``from_modes`` builds it from ``modes`` on first use; ``Q`` and ``P``
+    are sliced from it on first read and then kept.
     """
 
     def __init__(self, Q: RationalMatrix, P: RationalMatrix, tol_pole: float = TOL_POLE):
@@ -128,16 +129,16 @@ class DSF:
             raise ShapeMismatch("Q must be square")
         if P.rows != Q.rows:
             raise ShapeMismatch("P must have as many rows as Q")
-        self._Q, self._P = Q, P
+        self._Q = self._P = None
+        self._qp = RationalMatrix.hstack(Q, P)
         self.p, self.m, self.tol_pole = Q.rows, P.cols, tol_pole
         self.modes = None
-        entries = [e for M in (Q, P) for row in M.entries for e in row]
+        entries = _flat(self._qp)
         self.poles = _validated_poles(
             self.p, self.m, np.array([e.is_zero for e in entries]),
             np.array([not e.is_strictly_proper for e in entries]), *_all_den_roots(entries),
-            tol_pole)
-        qp = self.qp()
-        self.residues = np.array([residue_at(qp, lam, tol_pole) for lam in self.poles]
+            tol_pole)[0]
+        self.residues = np.array([residue_at(self._qp, lam, tol_pole) for lam in self.poles]
                                  ).reshape(len(self.poles), self.p, self.p + self.m)
 
     @classmethod
@@ -147,50 +148,45 @@ class DSF:
         ``merge_poles`` sums and floors the residues as ``from_known_poles``
         does, so ``modes`` holds exactly the poles the entries keep: entry
         (i, j) has as poles the lam_n with R_n[i, j] != 0, which the one
-        rule of ``DSF`` judges.  No rational entry is built here; ``Q`` and
-        ``P`` come from one ``from_known_poles`` call on first read.
+        rule of ``DSF`` judges.  No rational entry is built here; ``qp()``
+        builds them with one ``from_known_poles`` call on first use.
         """
         lam, R = merge_poles(np.asarray(lam, dtype=float), np.asarray(R, dtype=float))
         kept = np.any(R != 0.0, axis=(1, 2))
         lam, R = lam[kept], R[kept]
         d = cls.__new__(cls)  # __init__ validates rational entries, which wait here
-        d._Q = d._P = None
+        d._Q = d._P = d._qp = None
         n, p, cols = R.shape
         d.p, d.m, d.tol_pole = p, cols - p, tol_pole
         d.modes = (lam, R)
-        support = R != 0.0
-        # one column per entry, Q's row by row and then P's, as _entry_name counts them
-        support = np.hstack([support[:, :, :p].reshape(n, p * p),
-                             support[:, :, p:].reshape(n, p * d.m)])
-        owner, mode = np.nonzero(support.T)
-        d.poles = _validated_poles(p, d.m, ~support.any(axis=0),
-                                   np.zeros(support.shape[1], dtype=bool), lam[mode],
-                                   owner, tol_pole)
-        d.residues = np.zeros((len(d.poles), p, cols))
-        np.add.at(d.residues, _cluster_of(lam, chain_clusters(lam, tol_pole)), R)
+        flat = R.reshape(n, p * cols)  # column k is entry k of [Q P], as _flat counts
+        owner, mode = np.nonzero(flat.T)
+        d.poles, chain = _validated_poles(p, d.m, ~flat.any(axis=0),
+                                          np.zeros(p * cols, dtype=bool), lam[mode], owner,
+                                          tol_pole)
+        d.residues = np.zeros((len(d.poles), p * cols))
+        d.residues[chain, owner] = flat[mode, owner]  # no entry has two roots in a chain
+        d.residues = d.residues.reshape(len(d.poles), p, cols)
         return d
-
-    def _build_entries(self):
-        lam, R = self.modes
-        QP = from_known_poles(PoleResidueForm(lam, R, np.zeros(R.shape[1:]))).entries
-        self._Q = RationalMatrix([row[:self.p] for row in QP])
-        self._P = RationalMatrix([row[self.p:] for row in QP])
 
     @property
     def Q(self) -> RationalMatrix:
         if self._Q is None:
-            self._build_entries()
+            self._Q = RationalMatrix([row[:self.p] for row in self.qp().entries])
         return self._Q
 
     @property
     def P(self) -> RationalMatrix:
         if self._P is None:
-            self._build_entries()
+            self._P = RationalMatrix([row[self.p:] for row in self.qp().entries])
         return self._P
 
     def qp(self) -> RationalMatrix:
-        """The p x (p+m) block row [Q P]."""
-        return RationalMatrix.hstack(self.Q, self.P)
+        """The p x (p+m) block row [Q P], built once."""
+        if self._qp is None:
+            lam, R = self.modes
+            self._qp = from_known_poles(PoleResidueForm(lam, R, np.zeros(R.shape[1:])))
+        return self._qp
 
 
 @dataclass

@@ -724,18 +724,13 @@ def _horner(coeffs: list, pts: np.ndarray) -> np.ndarray:
     """Each polynomial of ascending ``coeffs`` at ``pts``, polynomials x points.
 
     ``pts`` is 1-d, points shared by every polynomial, or a column of one
-    point per polynomial.  One Horner pass over the coefficients, stacked
-    and zero-padded at the high-degree end.  A padded step leaves the
-    running value at zero, so each value is bit-identical to
-    ``Polynomial.__call__``.
+    point per polynomial.  The coefficients are stacked, zero-padded at
+    the high-degree end, for one ``npoly.polyval`` call.
     """
     c = np.zeros((len(coeffs), max((x.size for x in coeffs), default=1)))
     for k, x in enumerate(coeffs):
         c[k, :x.size] = x
-    v = np.zeros(np.broadcast_shapes((len(coeffs), 1), pts.shape), dtype=np.result_type(c, pts))
-    for k in range(c.shape[1] - 1, -1, -1):
-        v = c[:, k, None] + v * pts
-    return v
+    return npoly.polyval(pts, c.T[..., None], tensor=False)
 
 
 def rmat_eval(M: RationalMatrix, s) -> np.ndarray:

@@ -29,7 +29,7 @@ from dsfmin import (
     structure_limits,
     transfer_function,
 )
-from dsfmin import dsf, minreal, ratcore
+from dsfmin import dsf, minreal, ratcore, sslib
 from dsfmin.cli import main
 from dsfmin.errors import (
     AssumptionError,
@@ -772,3 +772,137 @@ class TestEntriesOnFirstRead:
             roots = np.concatenate([e.poles().real for row in got.entries for e in row])
             assert d.poles == [float(np.mean(c)) for c in ratcore.chain_clusters(roots, d.tol_pole)]
         assert builds["entries"] == 2 * len(dsfs)
+
+
+class TestOneLayout:
+    """A DSF numbers its entries row by row over [Q P], chains its poles
+    once and holds [Q P] as one matrix."""
+
+    def test_from_modes_chains_once(self, monkeypatch):
+        calls = Counter()
+        chain_clusters = dsf.chain_clusters
+
+        def counted(*args):
+            calls["chain"] += 1
+            return chain_clusters(*args)
+
+        monkeypatch.setattr(dsf, "chain_clusters", counted)
+        rng = np.random.default_rng(29)
+        for l in (1, 3, 6):
+            _modes_dsf(rng, 3, 2, l)
+        assert calls["chain"] == 3
+
+    def test_qp_built_once(self, monkeypatch):
+        calls = Counter()
+        hstack = RationalMatrix.hstack.__func__
+
+        def counted(cls, left, right):
+            calls["hstack"] += 1
+            return hstack(cls, left, right)
+
+        monkeypatch.setattr(RationalMatrix, "hstack", classmethod(counted))
+        d = random_dsf(np.random.default_rng(31), 3, 2, 4)
+        result = minreal_pipeline(d)
+        assert all(r.consistent for r in result.realizations)
+        assert calls["hstack"] == 1
+        assert d.qp() is d.qp()
+        modes = _modes_dsf(np.random.default_rng(31), 3, 2, 4)
+        assert modes.qp() is modes.qp()
+        assert modes.Q.entries[1][0] is modes.qp().entries[1][0]
+        assert calls["hstack"] == 1
+
+    def test_repeated_pole_named_in_row_order(self):
+        # both poles lie in P[0][0], entry (0, 2), and in Q[1][0], entry (1, 0);
+        # row by row over [Q P], P[0][0] comes first
+        poles = [-1.0, -1.0000005]
+        KQ = np.zeros((2, 2, 2))
+        KQ[:, 1, 0] = [1.0, -3.0]
+        KP = np.zeros((2, 2, 1))
+        KP[:, 0, 0] = [1.0, 2.0]
+        with pytest.raises(RepeatedPole, match=r"P\[0\]\[0\]"):
+            DSF.from_modes(poles, np.concatenate([KQ, KP], axis=2))
+        Q = from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((2, 2))))
+        P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((2, 1))))
+        with pytest.raises(RepeatedPole, match=r"P\[0\]\[0\]"):
+            DSF(Q, P)
+        with pytest.raises(RepeatedPole, match=r"entry \(0, 2\)"):
+            residue_at(RationalMatrix.hstack(Q, P), -1.0)
+
+
+class TestAnswerPath:
+    """The library pipeline and the CLI answer without the reference algebra."""
+
+    REFERENCE = (
+        ratcore._add_over_lcm, ratcore._combine, ratcore.rat_reduce, ratcore.poly_mul,
+        ratcore.rmat_det, ratcore.rmat_inverse, ratcore.rmat_equal, ratcore.rmat_poles,
+        ratcore.to_pole_residue, ratcore.limit_at_infinity, ratcore.from_known_poles,
+        sslib.transfer_from_blocks, sslib._char_poly, sslib.transfer_function,
+        sslib.rank_factorization, sslib.gilbert_from_pole_residue, sslib.gilbert_realization,
+        sslib.mcmillan_degree, sslib.normal_rank, dsf.compute_wv, dsf.dsf_to_transfer,
+    )
+    ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                  "__truediv__", "__matmul__")
+
+    @classmethod
+    def entered(cls, run):
+        """Qualified names of the reference functions that ``run()`` enters."""
+        functions = list(cls.REFERENCE)
+        for klass in (ratcore.Polynomial, ratcore.RationalFunction, RationalMatrix):
+            functions += [f for name, f in vars(klass).items() if name in cls.ARITHMETIC]
+        names = {f.__code__: f"{f.__module__}.{f.__qualname__}" for f in functions}
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                seen.add(names[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    def test_library_pipeline(self, ex2_dsf):
+        rng = np.random.default_rng(37)
+        relay_blocks = _relay_blocks()
+        parts = [PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2)
+                 for b in (relay_blocks(rng, p, h, 2) for p, h in ((3, 2), (4, 3), (5, 4)))]
+        draws = [random_pole_residue(rng, 4, 2, l) for l in (2, 3, 4)]
+        modes = [(poles, np.concatenate([KQ, KP], axis=2)) for poles, KQ, KP in draws]
+        # rational entries, built before profiling: the relay models', from_pole_residue's
+        # and ex2's
+        rational = [(d.Q, d.P) for d in map(compute_dsf, parts)]
+        rational += [(from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((4, 4)))),
+                      from_pole_residue(PoleResidueForm(poles, KP, np.zeros((4, 2)))))
+                     for poles, KQ, KP in draws]
+        rational.append((ex2_dsf.Q, ex2_dsf.P))
+        results = []
+
+        def run():
+            dsfs = [compute_dsf(part) for part in parts]
+            dsfs += [DSF.from_modes(lam, R) for lam, R in modes]
+            dsfs += [DSF(Q, P) for Q, P in rational]
+            results.extend(minreal_pipeline(d, enumerate_all=True) for d in dsfs)
+
+        assert self.entered(run) == set()
+        assert len(results) == 2 * len(parts) + 2 * len(draws) + 1
+        assert all(r.consistent for result in results for r in result.realizations)
+
+    def test_cli_commands(self, tmp_path):
+        from test_cli import write_ex1, write_ex2  # test_cli imports this module
+        models = [write_ex1(tmp_path), write_ex2(tmp_path)]
+        written = str(tmp_path / "dsf.json")
+        codes = []
+
+        def run():
+            for model in models:
+                codes.append(main(["minreal", model, "--enumerate-all",
+                                   "--out-dir", str(tmp_path)]))
+                codes.append(main(["verify", model, str(tmp_path / "realization_1.json")]))
+                codes.append(main(["graph", model]))
+            codes.append(main(["extract", models[0], "-o", written]))
+            codes.append(main(["graph", written]))
+
+        assert self.entered(run) == set()
+        assert codes == [0] * 8

@@ -31,7 +31,7 @@ from dsfmin.errors import (
     ZeroDenominator,
     ZeroPolynomial,
 )
-from dsfmin.ratcore import S_POLY, _products_of_others, from_known_poles
+from dsfmin.ratcore import S_POLY, _products_of_others, from_known_poles, rmat_det
 
 from conftest import EX2_D1, ZERO, random_dsf, rf, rmat
 
@@ -465,6 +465,11 @@ class TestRmatInverse:
         with pytest.raises(SingularRationalMatrix):
             rmat_inverse(M)
 
+    def test_one_by_one(self):
+        inv = rmat_inverse(rmat([[([2, 1], [3, 1])]]))  # (s + 2) / (s + 3)
+        s = np.array([-1.0, 0.5, 4.0, 2.0 + 1.0j])
+        assert rmat_eval(inv, s)[:, 0, 0] == pytest.approx((s + 3) / (s + 2), rel=1e-14)
+
     def test_inverse_product_is_identity(self):
         rng = np.random.default_rng(5)
         M = RationalMatrix([[rf([rng.uniform(1, 3), 1], [rng.uniform(4, 6), 1])
@@ -493,3 +498,22 @@ class TestRmatEqual:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             rmat_equal(RationalMatrix.identity(2), RationalMatrix.identity(3))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: RationalMatrix([]), ValueError, "at least one entry"),
+    (lambda: RationalMatrix([[]]), ValueError, "at least one entry"),
+    (lambda: rmat([[ZERO, ZERO], [ZERO]]), ShapeMismatch, "ragged rows"),
+    (lambda: RationalMatrix.hstack(RationalMatrix.identity(2), RationalMatrix.identity(3)),
+     ShapeMismatch, "row counts differ in hstack"),
+    (lambda: RationalMatrix.identity(2) @ RationalMatrix.identity(3), ShapeMismatch,
+     r"cannot multiply \(2, 2\) by \(3, 3\)"),
+    (lambda: rmat_det(RationalMatrix.from_real(np.ones((2, 3)))), ShapeMismatch,
+     "determinant of a non-square matrix"),
+    (lambda: rmat_inverse(RationalMatrix.from_real(np.ones((2, 3)))), ShapeMismatch,
+     "inverse of a non-square matrix"),
+], ids=["empty", "empty_row", "ragged", "hstack_rows_differ", "matmul_shapes_differ",
+        "det_not_square", "inverse_not_square"])
+def test_malformed_rational_matrices_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -344,3 +344,18 @@ class TestSchurIdentity:
                     * np.linalg.det(s0 * np.eye(h) - part.A22)
                 rhs = np.linalg.det(s0 * np.eye(n) - A)
                 assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StateSpace(np.eye(2), np.ones((3, 1)), np.eye(2)), "expected 2 rows, got 3"),
+    (lambda: StateSpace(np.eye(2), np.ones((2, 1)), np.ones((1, 3))),
+     "expected 2 columns, got 3"),
+    (lambda: StateSpace(np.eye(2), np.zeros((2, 0)), np.eye(2)),
+     "state, input, and output counts must be >= 1"),
+    (lambda: PartitionedRealization(np.ones((2, 3)), np.zeros((2, 0)), np.zeros((0, 2)),
+                                    np.zeros((0, 0)), np.ones((2, 1)), np.zeros((0, 1))),
+     "A11 must be square"),
+], ids=["B_rows_differ", "C_columns_differ", "no_input", "A11_not_square"])
+def test_malformed_systems_rejected(build, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        build()
