@@ -21,11 +21,13 @@ is first reduced to the modes it sees by an orthogonal staircase
 of a ``dsf_pole_residue`` file, and builds no rational entry; ``qp()``
 builds [Q P] on first use.  ``DSF(Q, P)`` evaluates each residue of
 its rational entries once, when built, so every consumer of a ``DSF``
-reads ``d.residues``.  Either way a ``DSF`` holds [Q P] as one matrix,
-built once, and ``Q`` and ``P`` are slices of it.  ``DSF`` judges
-repeated poles by one rule for every input: no entry may have two poles
-in one pole of [Q P], the entries' poles chained at ``tol_pole``.  It
-numbers the entries row by row over [Q P], as ``ratcore`` does.
+reads ``d.residues``; it reads its [Q P] once (``ratcore._read``), and
+the entries are not mutated after construction.  Either way a ``DSF``
+holds [Q P] as one matrix, built once, and ``Q`` and ``P`` are slices
+of it.  ``DSF`` judges repeated poles by one rule for every input: no
+entry may have two poles in one pole of [Q P], the entries' poles
+chained at ``tol_pole``.  It numbers the entries row by row over
+[Q P], as ``ratcore`` does.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .ratcore import (
     TOL_POLE,
     PoleResidueForm,
     RationalMatrix,
-    _all_den_roots,
-    _flat,
+    _read,
     chain_clusters,
     from_known_poles,
     merge_poles,
@@ -72,18 +73,19 @@ def _entry_name(k: int, p: int, m: int) -> str:
     return f"Q[{i}][{j}]" if j < p else f"P[{i}][{j - p}]"
 
 
-def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: float) -> tuple:
+def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: float,
+                     clusters: list) -> tuple:
     """The one rule on the entries of [Q P]; returns its poles and each root's chain.
 
     Entry k is named by ``_entry_name``; ``zero[k]`` and ``improper[k]``
     say whether it is identically zero and whether it is not strictly
     proper.  ``roots`` holds the poles of every entry and ``owner`` the
-    entry each belongs to.  Q's diagonal must be zero, every entry
-    strictly proper and every pole real, and no entry may have two poles
-    that chain, at ``tol_pole`` over the poles of all entries, into one
-    pole of [Q P].  The poles of [Q P] are those chains, one mean each,
-    ascending; the second result gives, for each root, the index of its
-    chain among them.
+    entry each belongs to; ``clusters`` is their real ones chained at
+    ``tol_pole`` by ``chain_clusters``.  Q's diagonal must be zero, every
+    entry strictly proper and every pole real, and no entry may have two
+    poles that chain into one pole of [Q P].  The poles of [Q P] are
+    those chains, one mean each, ascending; the second result gives, for
+    each root, the index of its chain among them.
     """
     diag = np.arange(p) * (p + m + 1)
     nonzero = diag[~zero[diag]]
@@ -95,7 +97,6 @@ def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: flo
     if complex_.any():
         raise ComplexPolesUnsupported(f"{_entry_name(int(owner[np.argmax(complex_)]), p, m)} "
                                       "has complex poles; only real poles are supported")
-    clusters = chain_clusters(roots.real, tol_pole)
     chain = np.searchsorted([c[0] for c in clusters], roots.real, side="right") - 1
     hits = np.sort(owner * len(clusters) + chain)
     twice = hits[1:][np.diff(hits) == 0]
@@ -114,7 +115,10 @@ class DSF:
     pole of [Q P]: the one repeated-pole rule, ``_validated_poles``.
     ``residues`` holds the residue matrices K_k of [Q P] at ``poles``,
     l x p x (p+m).  ``DSF(Q, P)`` evaluates each with ``residue_at`` and
-    sets ``modes`` to None.  ``from_modes`` keeps ``modes``, a pair
+    sets ``modes`` to None; its zero and strictly-proper flags, its poles
+    and each ``residue_at`` call read what one ``ratcore._read`` of
+    ``qp()`` kept: the entries' roots, their chains at ``tol_pole`` and
+    each root's residue quotient.  ``from_modes`` keeps ``modes``, a pair
     (lam, R) with [Q P] = sum_n R_n / (s - lam_n): the entries' distinct
     poles, unchained, and their n x p x (p+m) residues; K_k sums the R_n
     whose lam_n chain into pole k.  Both number the entries row by row
@@ -133,11 +137,9 @@ class DSF:
         self._qp = RationalMatrix.hstack(Q, P)
         self.p, self.m, self.tol_pole = Q.rows, P.cols, tol_pole
         self.modes = None
-        entries = _flat(self._qp)
-        self.poles = _validated_poles(
-            self.p, self.m, np.array([e.is_zero for e in entries]),
-            np.array([not e.is_strictly_proper for e in entries]), *_all_den_roots(entries),
-            tol_pole)[0]
+        read = _read(self._qp)
+        self.poles = _validated_poles(self.p, self.m, read.zero, read.improper, read.roots,
+                                      read.owner, tol_pole, read.chains(tol_pole))[0]
         self.residues = np.array([residue_at(self._qp, lam, tol_pole) for lam in self.poles]
                                  ).reshape(len(self.poles), self.p, self.p + self.m)
 
@@ -163,7 +165,7 @@ class DSF:
         owner, mode = np.nonzero(flat.T)
         d.poles, chain = _validated_poles(p, d.m, ~flat.any(axis=0),
                                           np.zeros(p * cols, dtype=bool), lam[mode], owner,
-                                          tol_pole)
+                                          tol_pole, chain_clusters(lam[mode], tol_pole))
         d.residues = np.zeros((len(d.poles), p * cols))
         d.residues[chain, owner] = flat[mode, owner]  # no entry has two roots in a chain
         d.residues = d.residues.reshape(len(d.poles), p, cols)

@@ -29,11 +29,10 @@ from .ratcore import TOL_EVAL, residue_at  # noqa: F401
 from .sslib import (
     TOL_RANK,
     PartitionedRealization,
-    StateSpace,
     factor_signs,
-    is_invariant_zero,
     kalman_reduce,
     numerical_rank,
+    rosenbrock_drops,
 )
 
 TOL_ORTH = 1e-8
@@ -272,6 +271,23 @@ def cancellation_check(g: GilbertData, r: RStar, tol_orth: float = TOL_ORTH) -> 
     return (~kept.any(axis=1)).tolist()
 
 
+def _coupling_blocks(g: GilbertData, rvecs: np.ndarray, keep):
+    """A11 and A12 of [W V] = [R 0] + D1 + sum_i N(lam_i) K_i / (s - lam_i), stacked.
+
+    One pair per R* vector of ``rvecs`` (members x p): A11 is D1's Q block
+    with R on its diagonal, and A12 holds the columns N(lam_i) E_i of the
+    modes listed in ``keep``.  Every member takes the arithmetic of one
+    vector alone.
+    """
+    p = g.p
+    lam = np.array(g.poles, dtype=float)[keep]
+    A11 = g.D1[:, :p].copy()
+    np.fill_diagonal(A11, 0.0)
+    diag = np.zeros((len(rvecs), p, p))
+    diag[:, range(p), range(p)] = rvecs
+    return A11 + diag, (lam - rvecs[:, :, None]) / (lam - g.shift) * g.E[keep].T
+
+
 def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
     """Realization of [W V] = [R 0] + D1 + sum_i N(lam_i) K_i / (s - lam_i).
 
@@ -280,11 +296,8 @@ def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
     unobservable state.
     """
     p = g.p
+    (A11,), (A12,) = _coupling_blocks(g, rvec[None], keep)
     lam = np.array(g.poles, dtype=float)[keep]
-    A11 = g.D1[:, :p].copy()
-    np.fill_diagonal(A11, 0.0)
-    A11 += np.diag(rvec)
-    A12 = (lam - rvec[:, None]) / (lam - g.shift) * g.E[keep].T
     return PartitionedRealization(A11, A12, g.F[keep, :p], np.diag(lam), g.D1[:, p:].copy(),
                                   g.F[keep, p:])
 
@@ -340,20 +353,45 @@ class PipelineResult(MinimalOrder):
     realizations: list
 
 
-def _zero_point_tests(g: GilbertData, flags, fulls, tol_rank):
+def _cascades(g: GilbertData, rvecs: np.ndarray):
+    """The full cascades of a stack of R* vectors, and their V-subsystems, as arrays.
+
+    Member k is ``_assemble(g, rvecs[k], range(g.l))``, bit for bit, but
+    stacked and without the ``PartitionedRealization``: every mode keeps
+    its hidden state, so A21 = F_y, A22 = diag(lam), B1 = D1_u and
+    B2 = F_u are shared, and only A11 and A12 depend on R*.  Returns the
+    V-subsystems (A22, B2, A12, B1) and the assembled systems
+    ([[A11, A12], [A21, A22]], [B1; B2], [I 0], 0), each as stacked
+    A, B, C, D.
+    """
+    p, l, r = g.p, g.l, len(rvecs)
+    A11, A12 = _coupling_blocks(g, rvecs, range(l))
+    A22 = np.diag(np.array(g.poles, dtype=float))
+    B = np.concatenate([g.D1[:, p:], g.F[:, p:]])
+
+    def stack(M):
+        return np.repeat(M[None], r, axis=0)
+
+    A = np.zeros((r, p + l, p + l))
+    A[:, :p, :p], A[:, :p, p:], A[:, p:, :p], A[:, p:, p:] = A11, A12, g.F[:, :p], A22
+    return ((stack(A22), stack(g.F[:, p:]), A12, stack(g.D1[:, p:])),
+            (A, stack(B), stack(np.eye(p, p + l)), np.zeros((r, p, B.shape[1]))))
+
+
+def _zero_point_tests(g: GilbertData, flags, rvecs, tol_rank):
     """Invariant-zero agreement at cancelled poles and a control point.
 
-    ``flags`` and ``fulls`` hold, for each realization of a stack, its
-    cancellation flags and its full (uncancelled) cascade; every member
-    cancels the same number of poles.  The tests run on the cascade,
-    where a removed pole persists as an unobservable mode: the
-    V-subsystem (A22, B2, A12, B1) and the assembled system lose
-    Rosenbrock rank together exactly at the cancelled poles.  The control
-    point, where neither may lose rank, is
+    ``flags`` and ``rvecs`` hold, for each realization of a stack, its
+    cancellation flags and its materialized R*; every member cancels the
+    same number of poles.  The tests run on the full (uncancelled)
+    cascade of each R* (``_cascades``), where a removed pole persists as
+    an unobservable mode: the V-subsystem (A22, B2, A12, B1) and the
+    assembled system lose Rosenbrock rank together exactly at the
+    cancelled poles.  The control point, where neither may lose rank, is
     0.5 (lam_0 + lam_1) + 0.5j |lam_0 - lam_1| for the two largest poles,
     the same for every member.  It lies off the real axis, where a real
     system has a zero only by coincidence; the real midpoint is a true
-    zero of 1/(s+1) + 1/(s+2), for one.  One ``is_invariant_zero`` call
+    zero of 1/(s+1) + 1/(s+2), for one.  One ``rosenbrock_drops`` call
     tests every member's V-subsystem at its own points, and one every
     assembled system.  Returns one list of ``ZeroMatch`` per member.
     """
@@ -365,10 +403,11 @@ def _zero_point_tests(g: GilbertData, flags, fulls, tol_rank):
     if not points[0]:
         return [[] for _ in flags]
     expected = [True] * (len(points[0]) - len(control)) + [False] * len(control)
-    v_zero, g_zero = (is_invariant_zero(systems, np.array(points), tol_rank) for systems in (
-        [StateSpace(x.A22, x.B2, x.A12, x.B1) for x in fulls], [x.assemble() for x in fulls]))
-    return [[ZeroMatch(*check) for check in zip(at, v.tolist(), z.tolist(), expected)]
-            for at, v, z in zip(points, v_zero, g_zero)]
+    at = np.array(points)
+    v_zero, g_zero = (rosenbrock_drops(*systems, at, tol_rank)
+                      for systems in _cascades(g, np.array(rvecs)))
+    return [[ZeroMatch(*check) for check in zip(pts, v.tolist(), z.tolist(), expected)]
+            for pts, v, z in zip(points, v_zero, g_zero)]
 
 
 def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = TOL_RANK,
@@ -385,17 +424,16 @@ def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = T
     share one shape.
     """
     g, cg, cl, answer = _search(d, enumerate_all, tol_rank, tol_orth)
-    reports, fulls = [], []
+    reports, rvecs = [], []
     for clique in cl.cliques:
         rstar = construct_rstar(g, clique, tol_orth)
-        rvec = rstar.materialize()
+        rvecs.append(rstar.materialize())
         flags = cancellation_check(g, rstar, tol_orth)
-        part = _assemble(g, rvec, [i for i, f in enumerate(flags) if not f])
-        fulls.append(_assemble(g, rvec, range(g.l)))
+        part = _assemble(g, rvecs[-1], [i for i, f in enumerate(flags) if not f])
         cancelled = [g.poles[i] for i in range(g.l) if flags[i]]
         reports.append(RealizationReport(rstar, part, part.order, cancelled, flags, None))
     consistent = consistency_check([r.realization for r in reports], d, tol_eval)
-    checks = _zero_point_tests(g, [r.cancellation_flags for r in reports], fulls, tol_rank)
+    checks = _zero_point_tests(g, [r.cancellation_flags for r in reports], rvecs, tol_rank)
     for r, ok, zero_checks in zip(reports, consistent, checks):
         r.consistent, r.zero_checks = ok, zero_checks
     return PipelineResult(**vars(answer), gilbert=g, graph=cg, cliques=cl, realizations=reports)

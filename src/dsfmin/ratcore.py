@@ -7,7 +7,12 @@ finding goes through the companion matrix of the monic polynomial
 (``Polynomial.roots``, the one root finder), and
 ``RationalFunction.poles()`` keeps each entry's denominator roots.
 Entries read together (``_all_den_roots``) find the roots of one
-denominator, by value, once.
+denominator, by value, once.  A ``RationalMatrix`` is read once: on its
+first read (``_read``) it keeps its entries' roots, their chains for
+each pole tolerance, its stacked numerators and denominators and each
+root's residue quotient, which ``rmat_poles``, ``residue_at``,
+``rmat_eval``, ``rmat_equal`` and ``DSF`` then look up.  Entries are
+not mutated after construction, so what is kept stays true.
 
 ``from_pole_residue`` needs no root finding and no cancellation: poles
 given more than once are merged exactly (their residues summed), and
@@ -389,9 +394,14 @@ def off_pole_points(poles, count: int) -> np.ndarray:
 
 
 class RationalMatrix:
-    """Dense matrix of reduced rational functions."""
+    """Dense matrix of reduced rational functions.
 
-    __slots__ = ("entries", "rows", "cols")
+    A matrix is read once: ``_read`` gathers, on the first read, what
+    ``rmat_poles``, ``residue_at``, ``rmat_eval`` and ``DSF`` need of its
+    entries and keeps it.  Its entries are not mutated after construction.
+    """
+
+    __slots__ = ("entries", "rows", "cols", "_kept")
 
     def __init__(self, entries):
         if not entries or not entries[0]:
@@ -403,6 +413,7 @@ class RationalMatrix:
         self.entries = [[_as_ratfun(e) for e in row] for row in entries]
         self.rows = len(entries)
         self.cols = cols
+        self._kept = None
 
     # -- constructors ----------------------------------------------------
 
@@ -500,19 +511,102 @@ def _flat(M: RationalMatrix) -> list:
     return [e for row in M.entries for e in row]
 
 
+def _stacked(coeffs: list) -> np.ndarray:
+    """Ascending ``coeffs``, one polynomial per row, zero-padded at the high-degree end.
+
+    A zero-padded Horner pass (``npoly.polyval``) gives exactly the bits of
+    each polynomial alone: the leading zeros leave the sum at exact zero
+    until the polynomial's own leading coefficient.
+    """
+    c = np.zeros((len(coeffs), max(x.size for x in coeffs)))
+    for k, x in enumerate(coeffs):
+        c[k, :x.size] = x
+    return c
+
+
+def _root_quotients(entries, roots, owner, num) -> np.ndarray:
+    """For each root r of an entry, num(r) / prod(r - the entry's other roots).
+
+    That is the entry's residue at r when r is a simple root.  All roots
+    are read in one pass, each in the arithmetic of ``residue_at`` on its
+    entry alone: the numerator by Horner at the real part of r; the
+    product over the entry's roots in their order, r itself counting as
+    an exact 1, in complex arithmetic; and the division in real arithmetic
+    for an entry whose roots came out real, as it would alone.
+    """
+    if not roots.size:
+        return np.zeros(0)
+    sizes = np.bincount(owner, minlength=len(entries))
+    per = sizes[owner]  # roots of each root's entry
+    starts = np.cumsum(per) - per  # each root's run of distances
+    first = (np.cumsum(sizes) - sizes)[owner]  # first root of each root's entry
+    other = np.repeat(first - starts, per) + np.arange(starts[-1] + per[-1])
+    x = roots.real
+    dist = np.repeat(x, per) - roots[other]
+    dist[other == np.repeat(np.arange(roots.size), per)] = 1.0
+    prods = np.multiply.reduceat(dist, starts)
+    values = npoly.polyval(x, num[owner].T, tensor=False)
+    real_typed = np.array([not np.iscomplexobj(e._poles) for e in entries])[owner]
+    # a root repeated in its entry divides by zero; residue_at never reads it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = values / prods
+        quotient[real_typed] = values[real_typed] / prods.real[real_typed]
+    return quotient.real
+
+
+class _Read:
+    """What the readers of a rational matrix need of its entries, kept.
+
+    ``roots`` and ``owner`` hold every entry's denominator roots,
+    concatenated, and the entry each is of (one ``_all_den_roots`` call);
+    ``num`` and ``den`` the coefficients, stacked by ``_stacked``, entry
+    k in row k; ``zero`` and ``improper`` flag the entries that are
+    identically zero and those that are not strictly proper; and
+    ``quotient`` each root's residue quotient (``_root_quotients``).
+    ``chains(tol_pole)`` is the real roots chained at ``tol_pole``, found
+    once per tolerance.
+    """
+
+    __slots__ = ("roots", "owner", "num", "den", "zero", "improper", "quotient", "_chains")
+
+    def __init__(self, entries):
+        self.roots, self.owner = _all_den_roots(entries)
+        self.num = _stacked([e.num.coeffs for e in entries])
+        self.den = _stacked([e.den.coeffs for e in entries])
+        sizes = np.array([(e.num.coeffs.size, e.den.coeffs.size) for e in entries])
+        self.zero = ~self.num.any(axis=1)
+        self.improper = ~self.zero & (sizes[:, 1] <= sizes[:, 0])
+        self.quotient = _root_quotients(entries, self.roots, self.owner, self.num)
+        self._chains = {}
+
+    def chains(self, tol_pole: float) -> list:
+        """``chain_clusters`` of the roots within ``tol_pole`` of the real axis."""
+        if tol_pole not in self._chains:
+            real = self.roots.real[np.abs(self.roots.imag) <= tol_pole]
+            self._chains[tol_pole] = chain_clusters(real, tol_pole)
+        return self._chains[tol_pole]
+
+
+def _read(M: RationalMatrix) -> _Read:
+    """What the readers of ``M`` need, gathered on its first read and then kept."""
+    if M._kept is None:
+        M._kept = _Read(_flat(M))
+    return M._kept
+
+
 def rmat_poles(M: RationalMatrix, tol_pole: float = TOL_POLE) -> list:
     """Distinct real poles of ``M``, ascending.
 
     Raises ComplexPolesUnsupported when any entry has a complex pole,
     naming the offending entries.
     """
-    roots, owner = _all_den_roots(_flat(M))
-    complex_ = np.abs(roots.imag) > tol_pole
+    read = _read(M)
+    complex_ = np.abs(read.roots.imag) > tol_pole
     if complex_.any():
-        bad = [divmod(int(k), M.cols) for k in np.unique(owner[complex_])]
+        bad = [divmod(int(k), M.cols) for k in np.unique(read.owner[complex_])]
         raise ComplexPolesUnsupported(
             f"complex poles in entries {bad}; only real poles are supported")
-    return [float(np.mean(c)) for c in chain_clusters(roots.real, tol_pole)]
+    return [float(np.mean(c)) for c in read.chains(tol_pole)]
 
 
 def residue_at(M: RationalMatrix, lam: float, tol_pole: float = TOL_POLE) -> np.ndarray:
@@ -522,41 +616,24 @@ def residue_at(M: RationalMatrix, lam: float, tol_pole: float = TOL_POLE) -> np.
     as in ``rmat_poles``; ``lam`` names the chain it lies in or within
     ``tol_pole`` of.  Each entry gives its residue at its own pole in that
     chain, however far from ``lam``: zero if none, RepeatedPole if two.
-    All entries are read at once, each in the order of its own roots.
+    The chains and each root's residue quotient are read once per matrix
+    (``_read``), so a call looks up its chain and copies the quotients.
     """
-    entries = _flat(M)
-    roots, owner = _all_den_roots(entries)
-    real = roots.real[np.abs(roots.imag) <= tol_pole]
-    chain = next((c for c in chain_clusters(real, tol_pole)
+    read = _read(M)
+    chain = next((c for c in read.chains(tol_pole)
                   if c[0] - tol_pole <= lam <= c[-1] + tol_pole), [lam])
     # poles outside the chain (all poles, if none holds lam) lie more than
     # tol_pole beyond its ends
     centre, reach = 0.5 * (chain[-1] + chain[0]), 0.5 * (chain[-1] - chain[0]) + tol_pole
-    near = np.abs(roots - centre) <= reach
-    hit = owner[near]
-    count = np.bincount(hit, minlength=len(entries))
+    near = np.abs(read.roots - centre) <= reach
+    hit = read.owner[near]
+    count = np.bincount(hit, minlength=M.rows * M.cols)
     if np.any(count > 1):
         k = int(np.argmax(count > 1))
         raise RepeatedPole(f"entry ({k // M.cols}, {k % M.cols}) has {count[k]} poles "
                            f"in the pole of M near {lam}")
     K = np.zeros((M.rows, M.cols))
-    if not hit.size:
-        return K
-    root = roots[near].real
-    # the denominator is monic, so its derivative at a simple root is the
-    # product of the distances to the other roots; the root itself counts
-    # as an exact 1, so each entry's product keeps the order of its roots
-    mine = count[owner] == 1
-    sizes = np.bincount(owner)[hit]
-    dist = np.repeat(root, sizes) - roots[mine]
-    dist[near[mine]] = 1.0
-    values = _horner([entries[k].num.coeffs for k in hit], root[:, None])[:, 0]
-    prods = np.multiply.reduceat(dist, np.cumsum(sizes) - sizes)
-    quotient = values / prods
-    # an entry whose roots came out real divides in real arithmetic, as it would alone
-    real_typed = np.array([not np.iscomplexobj(entries[k]._poles) for k in hit])
-    quotient[real_typed] = values[real_typed] / prods.real[real_typed]
-    K.flat[hit] = quotient.real
+    K.flat[hit] = read.quotient[near]
     return K
 
 
@@ -643,6 +720,26 @@ def _products_of_others(roots) -> np.ndarray:
     return prods
 
 
+def _from_roots(roots) -> np.ndarray:
+    """Ascending coefficients of the monic prod (s - r) over real ``roots``.
+
+    ``npoly.polyfromroots``' own product tree, bit for bit: the roots
+    sorted, one factor [-r, 1] each, and the factors multiplied in pairs,
+    first half by second, by ``np.convolve``, without its per-call checks.
+    """
+    factors = [np.array([-r, 1.0]) for r in np.sort(roots)]
+    if not factors:
+        return np.ones(1)
+    n = len(factors)
+    while n > 1:
+        m, odd = divmod(n, 2)
+        pairs = [np.convolve(factors[i], factors[i + m]) for i in range(m)]
+        if odd:
+            pairs[0] = np.convolve(pairs[0], factors[-1])
+        factors, n = pairs, m
+    return factors[0]
+
+
 def from_pole_residue(prf: PoleResidueForm) -> RationalMatrix:
     """Rational matrix ``sum_k K_k/(s - lam_k) + D``, entries reduced.
 
@@ -699,7 +796,7 @@ def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatri
         kept = lams[mask]
         poles = kept.astype(complex)
         poles.flags.writeable = False
-        den = Polynomial(npoly.polyfromroots(kept))
+        den = _wrapped(_from_roots(kept))
         block = prf.constant.flat[members][:, None] * den.coeffs
         # one vector-matrix product per entry, stacked, each vector contiguous:
         # BLAS then sums each in the order it takes for that entry alone
@@ -720,38 +817,25 @@ def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatri
     return RationalMatrix([out[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
-def _horner(coeffs: list, pts: np.ndarray) -> np.ndarray:
-    """Each polynomial of ascending ``coeffs`` at ``pts``, polynomials x points.
-
-    ``pts`` is 1-d, points shared by every polynomial, or a column of one
-    point per polynomial.  The coefficients are stacked, zero-padded at
-    the high-degree end, for one ``npoly.polyval`` call.
-    """
-    c = np.zeros((len(coeffs), max((x.size for x in coeffs), default=1)))
-    for k, x in enumerate(coeffs):
-        c[k, :x.size] = x
-    return npoly.polyval(pts, c.T[..., None], tensor=False)
-
-
 def rmat_eval(M: RationalMatrix, s) -> np.ndarray:
     """Entrywise value of M at the point s, or at each point of an array s.
 
     An array of any shape gives the values stacked, s.shape x rows x cols.
     Every pole of every entry is tested against every point at once: one
-    within ``TOL_POLE`` raises EvaluationAtPole.  Values are real when no
-    imaginary part is nonzero.
+    within ``TOL_POLE`` raises EvaluationAtPole.  Numerators and
+    denominators are the kept stacks of ``_read``, one Horner pass each.
+    Values are real when no imaginary part is nonzero.
     """
     s = np.asarray(s)
     pts = s.ravel()
-    entries = _flat(M)
-    roots, owner = _all_den_roots(entries)
-    at_pole = np.abs(roots[:, None] - pts) <= TOL_POLE
+    read = _read(M)
+    at_pole = np.abs(read.roots[:, None] - pts) <= TOL_POLE
     if at_pole.any():
         point = pts[np.argwhere(at_pole)[0, 1]]
-        k = int(owner[np.argmax(np.abs(roots - point) <= TOL_POLE)])
+        k = int(read.owner[np.argmax(np.abs(read.roots - point) <= TOL_POLE)])
         raise EvaluationAtPole(f"s0={point} is a pole of entry ({k // M.cols}, {k % M.cols})")
-    values = (_horner([e.num.coeffs for e in entries], pts)
-              / _horner([e.den.coeffs for e in entries], pts))
+    values = (npoly.polyval(pts, read.num.T[..., None], tensor=False)
+              / npoly.polyval(pts, read.den.T[..., None], tensor=False))
     out = np.moveaxis(values.reshape(M.rows, M.cols, pts.size), -1, 0)
     if np.iscomplexobj(out) and not np.any(out.imag):
         out = out.real
@@ -806,7 +890,5 @@ def rmat_equal(M1: RationalMatrix, M2: RationalMatrix,
     """
     if M1.shape != M2.shape:
         raise ShapeMismatch(f"shapes {M1.shape} and {M2.shape} differ")
-    both = RationalMatrix.hstack(M1, M2)
-    pts = off_pole_points(_all_den_roots(_flat(both))[0], 16)
-    values = rmat_eval(both, pts)
-    return values_agree(values[..., :M1.cols], values[..., M1.cols:], tol_eval)
+    pts = off_pole_points(np.concatenate([_read(M1).roots, _read(M2).roots]), 16)
+    return values_agree(rmat_eval(M1, pts), rmat_eval(M2, pts), tol_eval)

@@ -6,8 +6,8 @@ det(sI - A + b c) - det(sI - A) over det(sI - A), each taken from
 eigenvalues.  ``kalman_reduce`` finds the minimal part of a state-space
 triple numerically, by an orthogonal staircase whose rank decisions are
 ``numerical_rank`` with ``TOL_RANK``.  Every rank decision here is taken at
-``TOL_RANK``, but for ``is_invariant_zero``, which takes its tolerance
-as an argument.
+``TOL_RANK``, but for the zero test (``rosenbrock_drops`` and
+``is_invariant_zero``), which takes its tolerance as an argument.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .ratcore import (
     PoleResidueForm,
     Polynomial,
     RationalMatrix,
-    _all_den_roots,
-    _flat,
     _raw_ratfun,
+    _read,
     off_pole_points,
     rmat_eval,
     to_pole_residue,
@@ -357,7 +356,7 @@ def normal_rank(M: RationalMatrix) -> int:
 
     One ``rmat_eval`` at all eight, one stacked SVD.
     """
-    points = off_pole_points(_all_den_roots(_flat(M))[0], 8)
+    points = off_pole_points(_read(M).roots, 8)
     sv = np.linalg.svd(rmat_eval(M, points), compute_uv=False)
     return int(np.max(numerical_rank(sv, TOL_RANK)))
 
@@ -385,29 +384,39 @@ def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
     return int(_normal_ranks(ss.A[None], ss.B[None], ss.C[None], ss.D[None], tol_rank)[0])
 
 
+def rosenbrock_drops(A, B, C, D, s, tol_rank: float = TOL_RANK) -> np.ndarray:
+    """Rosenbrock rank test of a stack of systems, each at its own points.
+
+    A, B, C and D hold the systems (A_k, B_k, C_k, D_k) along their first
+    axis, and ``s`` one row of points per system.  True where
+    rank [[A_k - s I, B_k], [C_k, D_k]] drops below n plus the normal rank
+    of system k's transfer function (``_normal_ranks``).  The ranks at all
+    the points come from one stacked singular value decomposition and one
+    ``numerical_rank`` at tol_rank; the verdicts are systems x points.
+    """
+    n = A.shape[-1]
+    R = np.concatenate([np.concatenate([A, B], -1), np.concatenate([C, D], -1)], -2)[:, None]
+    R = np.array(np.broadcast_to(R, (*s.shape, *R.shape[2:])), dtype=np.result_type(R, s))
+    R[..., range(n), range(n)] -= s[..., None]
+    full = n + _normal_ranks(A, B, C, D, tol_rank)
+    return numerical_rank(np.linalg.svd(R, compute_uv=False), tol_rank) < full[:, None]
+
+
 def is_invariant_zero(ss, s, tol_rank: float = TOL_RANK):
     """Rosenbrock rank test at the point s, or at each point of an array s.
 
     True where rank [[A - s I, B], [C, D]] drops below n plus the normal
     rank of the transfer function, the latter the largest rank of G at
-    eight deterministic points beyond the spectral radius.  The ranks at
-    all the points come from one stacked singular value decomposition and
-    one ``numerical_rank`` at tol_rank, as the normal ranks' do; an array
-    of points gives an array of verdicts.
+    eight deterministic points beyond the spectral radius: ``rosenbrock_drops``
+    of a stack of one.  An array of points gives an array of verdicts.
 
     ``ss`` may also be a stack, a sequence of systems of one shape, with
     ``s`` holding one row of points per system: the verdicts are then an
     array, systems x points, each system tested at its own points against
-    its own normal rank.  One system is a stack of one.
+    its own normal rank.
     """
     systems = [ss] if isinstance(ss, StateSpace) else ss
     s = np.asarray(s)
-    pts = s.reshape(len(systems), -1)
-    A, B, C, D = (np.array([getattr(x, key) for x in systems]) for key in "ABCD")
-    n = A.shape[-1]
-    R = np.concatenate([np.concatenate([A, B], -1), np.concatenate([C, D], -1)], -2)[:, None]
-    R = np.array(np.broadcast_to(R, (*pts.shape, *R.shape[2:])), dtype=np.result_type(R, pts))
-    R[..., range(n), range(n)] -= pts[..., None]
-    full = n + _normal_ranks(A, B, C, D, tol_rank)
-    drops = numerical_rank(np.linalg.svd(R, compute_uv=False), tol_rank) < full[:, None]
+    drops = rosenbrock_drops(*(np.array([getattr(x, key) for x in systems]) for key in "ABCD"),
+                             s.reshape(len(systems), -1), tol_rank)
     return drops.reshape(s.shape) if s.ndim else bool(drops[0, 0])

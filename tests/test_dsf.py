@@ -906,3 +906,34 @@ class TestAnswerPath:
 
         assert self.entered(run) == set()
         assert codes == [0] * 8
+
+
+class TestReadOnce:
+    """DSF(Q, P) and the pipeline read the rational [Q P] once."""
+
+    def test_one_root_gathering_and_one_chaining_per_tolerance(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ratcore, "_all_den_roots",
+                            counted("gather", ratcore._all_den_roots))
+        for module in (ratcore, dsf):
+            monkeypatch.setattr(module, "chain_clusters",
+                                counted("chain", module.chain_clusters))
+        for module in (ratcore, dsf, minreal):
+            monkeypatch.setattr(module, "residue_at", counted("residue_at", module.residue_at))
+        poles, KQ, KP = random_pole_residue(np.random.default_rng(53), 4, 2, 6)
+        Q = from_pole_residue(PoleResidueForm(poles, KQ, np.zeros((4, 4))))
+        P = from_pole_residue(PoleResidueForm(poles, KP, np.zeros((4, 2))))
+        d = DSF(Q, P)
+        result = minreal_pipeline(d, enumerate_all=True)
+        assert all(r.consistent for r in result.realizations)
+        assert calls == Counter(gather=1, chain=1, residue_at=result.l)
+        # another tolerance chains the kept roots once more, and finds no root
+        assert rmat_poles(d.qp(), 1e-9) == rmat_poles(d.qp(), 1e-9)
+        assert calls == Counter(gather=1, chain=2, residue_at=result.l)

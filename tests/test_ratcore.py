@@ -31,7 +31,13 @@ from dsfmin.errors import (
     ZeroDenominator,
     ZeroPolynomial,
 )
-from dsfmin.ratcore import S_POLY, _products_of_others, from_known_poles, rmat_det
+from dsfmin.ratcore import (
+    S_POLY,
+    _from_roots,
+    _products_of_others,
+    from_known_poles,
+    rmat_det,
+)
 
 from conftest import EX2_D1, ZERO, random_dsf, rf, rmat
 
@@ -517,3 +523,48 @@ class TestRmatEqual:
 def test_malformed_rational_matrices_rejected(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+class TestReadOnce:
+    """A rational matrix keeps what its first read found; later reads look it up."""
+
+    @staticmethod
+    def readings(M, lams, tol_pole, pts):
+        """Bits of rmat_poles, residue_at at ``lams`` and rmat_eval at ``pts``."""
+        out = [np.array(rmat_poles(M, tol_pole)).tobytes(), rmat_eval(M, pts).tobytes()]
+        return out + [residue_at(M, lam, tol_pole).tobytes() for lam in lams]
+
+    def test_read_matrix_gives_the_bits_of_a_fresh_one(self):
+        rng = np.random.default_rng(41)
+        pts = np.array([0.5 + 1.5j, 2.0, -0.3 + 4.0j, 12.0])
+        for l in (1, 2, 4, 8, 12):
+            prf = _random_dsf_form(rng, 3, 2, l)
+            for build in (from_pole_residue, from_known_poles):
+                M = build(prf)
+                lams = list(prf.poles) + [0.5]
+                # read in another order and at another tolerance first
+                rmat_eval(M, pts[::-1])
+                residue_at(M, lams[-2], 1e-3)
+                first = self.readings(M, lams, 1e-6, pts)
+                assert self.readings(M, lams, 1e-6, pts) == first
+                assert self.readings(build(prf), lams, 1e-6, pts) == first
+
+    def test_clean_chain_reads_beside_a_repeated_root(self):
+        twice = ([1], [4, 4, 1])  # 1/(s+2)^2
+        M = rmat([[twice, ([3], [5, 1])], [([2], [2, 1]), ZERO]])
+        assert np.array_equal(residue_at(M, -5.0), [[0.0, 3.0], [0.0, 0.0]])
+        with pytest.raises(RepeatedPole, match=r"entry \(0, 0\)"):
+            residue_at(M, -2.0)
+        assert np.array_equal(residue_at(M, -5.0), [[0.0, 3.0], [0.0, 0.0]])
+        assert residue_at(M, -7.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_product_tree_equals_polyfromroots(self):
+        rng = np.random.default_rng(43)
+        for n in list(range(21)) * 10:
+            roots = rng.uniform(-10.0, 10.0, n)
+            if n > 1:
+                repeats = rng.integers(0, n, size=int(rng.integers(1, n)))
+                roots[repeats[1:]] = roots[repeats[0]]
+            got, want = _from_roots(roots), npoly.polyfromroots(roots)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
