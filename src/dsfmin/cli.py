@@ -244,17 +244,14 @@ def dsf_to_json(d: DSF) -> dict:
 
 def part_to_json(part: PartitionedRealization) -> dict:
     ss = part.assemble()
-    return {"kind": "state_space",
-            "A": [[float(x) for x in row] for row in ss.A],
-            "B": [[float(x) for x in row] for row in ss.B],
-            "C": [[float(x) for x in row] for row in ss.C],
+    return {"kind": "state_space", "A": ss.A.tolist(), "B": ss.B.tolist(), "C": ss.C.tolist(),
             "p": part.p}
 
 
 def _write_json(obj, path):
+    """``obj`` as indented JSON with sorted keys and a final newline, in one write."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # -- reports ---------------------------------------------------------------

@@ -58,6 +58,7 @@ from .ratcore import (
 from .sslib import (
     TOL_RANK,
     PartitionedRealization,
+    _pencils,
     column_norms,
     gilbert_from_pole_residue,
     kalman_reduce,
@@ -97,13 +98,14 @@ def _validated_poles(p: int, m: int, zero, improper, roots, owner, tol_pole: flo
     if complex_.any():
         raise ComplexPolesUnsupported(f"{_entry_name(int(owner[np.argmax(complex_)]), p, m)} "
                                       "has complex poles; only real poles are supported")
-    chain = np.searchsorted([c[0] for c in clusters], roots.real, side="right") - 1
-    hits = np.sort(owner * len(clusters) + chain)
-    twice = hits[1:][np.diff(hits) == 0]
+    heads = np.array([c[0] for c in clusters])
+    chain = np.searchsorted(heads, roots.real, side="right") - 1
+    hits = np.sort(owner * heads.size + chain)
+    twice = hits[1:][hits[1:] == hits[:-1]]
     if twice.size:
-        raise RepeatedPole(f"{_entry_name(int(twice[0]) // len(clusters), p, m)} has two "
+        raise RepeatedPole(f"{_entry_name(int(twice[0]) // heads.size, p, m)} has two "
                            "poles that chain into one pole of [Q P]")
-    return [float(np.mean(c)) for c in clusters], chain
+    return [float(np.add.reduce(c) / c.size) for c in clusters], chain  # np.mean, unwrapped
 
 
 class DSF:
@@ -154,7 +156,7 @@ class DSF:
         builds them with one ``from_known_poles`` call on first use.
         """
         lam, R = merge_poles(np.asarray(lam, dtype=float), np.asarray(R, dtype=float))
-        kept = np.any(R != 0.0, axis=(1, 2))
+        kept = (R != 0.0).any(axis=(1, 2))
         lam, R = lam[kept], R[kept]
         d = cls.__new__(cls)  # __init__ validates rational entries, which wait here
         d._Q = d._P = d._qp = None
@@ -163,12 +165,13 @@ class DSF:
         d.modes = (lam, R)
         flat = R.reshape(n, p * cols)  # column k is entry k of [Q P], as _flat counts
         owner, mode = np.nonzero(flat.T)
+        roots = lam[mode]
         d.poles, chain = _validated_poles(p, d.m, ~flat.any(axis=0),
-                                          np.zeros(p * cols, dtype=bool), lam[mode], owner,
-                                          tol_pole, chain_clusters(lam[mode], tol_pole))
-        d.residues = np.zeros((len(d.poles), p * cols))
-        d.residues[chain, owner] = flat[mode, owner]  # no entry has two roots in a chain
-        d.residues = d.residues.reshape(len(d.poles), p, cols)
+                                          np.zeros(p * cols, dtype=bool), roots, owner,
+                                          tol_pole, chain_clusters(roots, tol_pole))
+        d.residues = np.zeros((len(d.poles), p, cols))
+        # no entry has two roots in a chain
+        d.residues.reshape(len(d.poles), p * cols)[chain, owner] = flat[mode, owner]
         return d
 
     @property
@@ -243,28 +246,31 @@ def _row_systems(part: PartitionedRealization):
     system on measured state i and the hidden states: A_i of
     ``_row_matrices``, B_i = [A[idx, j != i], B[idx]] and C_i = e_1, with
     idx = [i, p, ..., n-1].  Returns A_i, p x (1+h) x (1+h), and B_i,
-    p x (1+h) x (p-1+m).
+    p x (1+h) x (p-1+m), each copied from the blocks.
     """
     p = part.p
-    ss = part.assemble()
-    idx = np.array([[i, *range(p, part.order)] for i in range(p)])
-    others = np.array([[j for j in range(p) if j != i] for i in range(p)],
-                      dtype=int).reshape(p, p - 1)
-    A = _row_matrices(part.A11, part.A12, part.A21, part.A22)
-    B = np.concatenate([ss.A[idx[:, :, None], others[:, None, :]], ss.B[idx]], axis=2)
-    return A, B
+    c = np.arange(p - 1)
+    others = c + (c >= np.arange(p)[:, None])  # row i: the columns j != i
+    B = np.empty((p, 1 + part.h, p - 1 + part.m))
+    B[:, 0, :p - 1] = part.A11.ravel()[:-1].reshape(p - 1, p + 1)[:, 1:].reshape(p, p - 1)
+    B[:, 1:, :p - 1] = np.swapaxes(part.A21[:, others], 0, 1)
+    B[:, 0, p - 1:] = part.B1
+    B[:, 1:, p - 1:] = part.B2
+    return _row_matrices(part.A11, part.A12, part.A21, part.A22), B
 
 
-def _floor_residues(R: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _floor_residues(R: np.ndarray, norms: np.ndarray):
     """Zero the residues of each row at or below TOL_RANK times its largest.
 
     R holds the residues of one row or of a stack of rows, modes x
     columns each, and ``norms`` the norms of the columns of each B_i,
-    relative to which every residue is judged.
+    relative to which every residue is judged.  Returns R and each row's
+    largest residue so judged.
     """
     scaled = np.abs(R) / norms[..., None, :]
-    R[scaled <= TOL_RANK * np.max(scaled, axis=(-2, -1), keepdims=True, initial=0.0)] = 0.0
-    return R
+    peak = scaled.max(axis=(-2, -1), keepdims=True, initial=0.0)
+    R[scaled <= TOL_RANK * peak] = 0.0
+    return R, peak[..., 0, 0]
 
 
 def _in_qp(rows: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
@@ -290,8 +296,8 @@ def _safe_rows(lam: np.ndarray, V: np.ndarray, tol_pole: float) -> np.ndarray:
     lie within ``tol_pole`` of each other and cond(V_i) <= 1/TOL_RANK;
     ``compute_dsf`` says why.
     """
-    gaps = np.diff(np.sort(lam.real, axis=1), axis=1)
-    return (gaps > tol_pole).all(axis=1) & (np.linalg.cond(V) <= 1.0 / TOL_RANK)
+    lam = np.sort(lam.real, axis=1)
+    return (lam[:, 1:] - lam[:, :-1] > tol_pole).all(axis=1) & (np.linalg.cond(V) <= 1.0 / TOL_RANK)
 
 
 def _reduced_row(i: int, A: np.ndarray, B: np.ndarray, tol_pole: float):
@@ -345,18 +351,18 @@ def compute_dsf(part: PartitionedRealization, tol_pole: float = TOL_POLE) -> DSF
     A, B = _row_systems(part)
     norms = column_norms(B)
     lam, V = np.linalg.eig(A)
-    rows = np.flatnonzero(_safe_rows(lam, V, tol_pole))
+    safe = _safe_rows(lam, V, tol_pole)
+    rows = safe.nonzero()[0]
     V = V[rows].real
-    R = V[:, 0, :, None] * np.linalg.solve(V, B[rows])
+    R, peak = _floor_residues(V[:, 0, :, None] * np.linalg.solve(V, B[rows]), norms[rows])
     # a row that sees nothing above rounding level is for the staircase to judge
-    seen = np.max(np.abs(R) / norms[rows, None, :], axis=(1, 2), initial=0.0) > TOL_RANK
-    rows, R = rows[seen], R[seen]
-    lams = [lam[rows].real.ravel()]
-    Rs = [_in_qp(rows, _floor_residues(R, norms[rows]), p)]
-    for i in np.setdiff1d(np.arange(p), rows):
+    safe[rows[peak <= TOL_RANK]] = False
+    lams = [lam[safe].real.ravel()]
+    Rs = [_in_qp(safe.nonzero()[0], R[peak > TOL_RANK], p)]
+    for i in (~safe).nonzero()[0]:
         lam_i, R_i = _reduced_row(i, A[i], B[i], tol_pole)
         lams.append(lam_i)
-        Rs.append(_in_qp(np.array([i]), _floor_residues(R_i, norms[i])[None], p))
+        Rs.append(_in_qp(np.array([i]), _floor_residues(R_i, norms[i])[0][None], p))
     return DSF.from_modes(np.concatenate(lams), np.concatenate(Rs), tol_pole)
 
 
@@ -430,7 +436,7 @@ def consistency_check(part, d: DSF, tol_eval: float = TOL_EVAL):
                 f"realization is {x.p}x{x.m}, structure function {d.p}x{d.m}")
     if len({x.h for x in parts}) > 1:
         raise ShapeMismatch("the realizations of a stack must have one number of hidden states")
-    p, h = d.p, parts[0].h
+    p = d.p
     A11, A12, A21, A22, B1, B2 = (np.array([getattr(x, key) for x in parts])
                                   for key in ("A11", "A12", "A21", "A22", "B1", "B2"))
     r = len(parts)
@@ -440,14 +446,14 @@ def consistency_check(part, d: DSF, tol_eval: float = TOL_EVAL):
     if d.modes is None:
         want = rmat_eval(d.qp(), s)
     else:
-        lam, R = d.modes
-        want = np.tensordot(1.0 / (s[..., None] - lam), R, axes=1)
-    rhs = np.broadcast_to(np.concatenate([A21, B2], -1)[:, None], (*s.shape, h, p + d.m))
+        lam, R = d.modes  # np.tensordot(1 / (s - lam), R, axes=1), without its wrapper
+        want = np.dot((1.0 / (s[..., None] - lam)).reshape(s.size, lam.size),
+                      R.reshape(lam.size, p * (p + d.m))).reshape(*s.shape, p, p + d.m)
     wv = np.concatenate([A11, B1], -1)[:, None] + A12[:, None] @ np.linalg.solve(
-        s[..., None, None] * np.eye(h) - A22[:, None], rhs)
-    diag = (..., range(p), range(p))
-    w_ii = wv[diag].copy()
-    wv[diag] = 0.0
+        _pencils(A22, s), np.concatenate([A21, B2], -1)[:, None])
+    diag = np.einsum("...ii->...i", wv[..., :p])  # a writable view of W's diagonal
+    w_ii = diag.copy()
+    diag[...] = 0.0
     verdicts = [values_agree(f, g, tol_eval)
                 for f, g in zip(wv / (s[..., None] - w_ii)[..., None], want)]
     return verdicts[0] if isinstance(part, PartitionedRealization) else verdicts

@@ -61,6 +61,7 @@ class GilbertData:
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float).reshape(self.l, self.p)
         self.F = np.asarray(self.F, dtype=float).reshape(self.l, self.p + self.m)
+        self.lam = np.array(self.poles, dtype=float)  # the poles as one array
 
     @property
     def l(self) -> int:
@@ -136,11 +137,11 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
             raise ValueError(f"shift {a} coincides with a pole of [Q P]")
     poles = d.poles[::-1]
     residues = d.residues[::-1]
-    D1 = sum(residues, np.zeros((d.p, d.p + d.m)))
+    D1 = np.add.reduce(residues, axis=0, initial=0.0)  # 0 + K_0 + K_1 + ..., in order
     K = (np.array(poles) - a)[:, None, None] * residues
-    U, sv, _ = np.linalg.svd(K)
+    U, sv, _ = np.linalg.svd(K, full_matrices=False)
     ranks = numerical_rank(sv, tol_rank)
-    for lam, r in zip(poles, ranks):
+    for lam, r in zip(poles, ranks.tolist()):
         if r > 1:
             raise ResidueRankExceedsOne(
                 f"residue at pole {lam} has rank {r} > 1; shared poles whose "
@@ -150,14 +151,14 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     E = U[:, :, :1] * sv[:, None, :1]
     E = (E * factor_signs(K, E)[:, None, :])[:, :, 0]
     # F per the factorization convention (E^T E)^(-1) E^T K
-    F = (E[:, None, :] @ K)[:, 0, :] / np.sum(E * E, axis=1)[:, None]
+    F = (E[:, None, :] @ K)[:, 0, :] / (E * E).sum(axis=1)[:, None]
     return GilbertData(poles, E, F, D1, a, d.p, d.m)
 
 
 def _supports(g: GilbertData, tol_orth: float) -> np.ndarray:
     """l x p booleans: component j of E_i is above tol_orth times E_i's largest."""
     mag = np.abs(g.E)
-    return mag > tol_orth * np.max(mag, axis=1, keepdims=True)
+    return mag > tol_orth * mag.max(axis=1, keepdims=True)
 
 
 def compatibility_graph(g: GilbertData, tol_orth: float = TOL_ORTH) -> CompatGraph:
@@ -168,8 +169,8 @@ def compatibility_graph(g: GilbertData, tol_orth: float = TOL_ORTH) -> CompatGra
     so exactly then can one R remove both poles.
     """
     S = _supports(g, tol_orth).astype(int)
-    disjoint = np.triu(S @ S.T == 0, 1)
-    return CompatGraph(g.l, [(int(i), int(j)) for i, j in zip(*np.nonzero(disjoint))])
+    i, j = np.nonzero(S @ S.T == 0)  # row by row, so the edges come sorted
+    return CompatGraph(g.l, [(a, b) for a, b in zip(i.tolist(), j.tolist()) if a < b])
 
 
 def _bron_kerbosch(adj, r, p, x, out):
@@ -239,7 +240,7 @@ def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar
     entries = [None] * g.p
     for i in clique:
         lam = g.poles[i]
-        for j in np.flatnonzero(support[i]).tolist():
+        for j in support[i].nonzero()[0].tolist():
             if entries[j] is not None and entries[j] != lam:
                 raise ConflictingAssignment(
                     f"diagonal position {j} is claimed by poles {entries[j]} and "
@@ -261,8 +262,8 @@ def cancellation_check(g: GilbertData, r: RStar, tol_orth: float = TOL_ORTH) -> 
     decided by ``extract_modes``; only a pole equal to it, where N is
     undefined, raises PoleAtZeroWithoutShift.
     """
-    lam = np.array(g.poles, dtype=float)
-    at_shift = np.flatnonzero(lam == g.shift)
+    lam = g.lam
+    at_shift = (lam == g.shift).nonzero()[0]
     if at_shift.size:
         raise PoleAtZeroWithoutShift(
             f"cannot evaluate the cancellation factor at pole {g.poles[at_shift[0]]} "
@@ -276,15 +277,15 @@ def _coupling_blocks(g: GilbertData, rvecs: np.ndarray, keep):
 
     One pair per R* vector of ``rvecs`` (members x p): A11 is D1's Q block
     with R on its diagonal, and A12 holds the columns N(lam_i) E_i of the
-    modes listed in ``keep``.  Every member takes the arithmetic of one
-    vector alone.
+    modes that ``keep`` (an index list or a slice) selects.  Every member
+    takes the arithmetic of one vector alone.
     """
     p = g.p
-    lam = np.array(g.poles, dtype=float)[keep]
+    lam = g.lam[keep]
     A11 = g.D1[:, :p].copy()
-    np.fill_diagonal(A11, 0.0)
+    np.einsum("ii->i", A11)[...] = 0.0
     diag = np.zeros((len(rvecs), p, p))
-    diag[:, range(p), range(p)] = rvecs
+    np.einsum("...ii->...i", diag)[...] = rvecs
     return A11 + diag, (lam - rvecs[:, :, None]) / (lam - g.shift) * g.E[keep].T
 
 
@@ -297,9 +298,8 @@ def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
     """
     p = g.p
     (A11,), (A12,) = _coupling_blocks(g, rvec[None], keep)
-    lam = np.array(g.poles, dtype=float)[keep]
-    return PartitionedRealization(A11, A12, g.F[keep, :p], np.diag(lam), g.D1[:, p:].copy(),
-                                  g.F[keep, p:])
+    return PartitionedRealization(A11, A12, g.F[keep, :p], np.diag(g.lam[keep]),
+                                  g.D1[:, p:].copy(), g.F[keep, p:])
 
 
 def realize(d: DSF, r: RStar, modes: GilbertData = None) -> PartitionedRealization:
@@ -362,20 +362,17 @@ def _cascades(g: GilbertData, rvecs: np.ndarray):
     B2 = F_u are shared, and only A11 and A12 depend on R*.  Returns the
     V-subsystems (A22, B2, A12, B1) and the assembled systems
     ([[A11, A12], [A21, A22]], [B1; B2], [I 0], 0), each as stacked
-    A, B, C, D.
+    A, B, C, D, where a block that every member shares comes once, with
+    leading axis 1, as ``rosenbrock_drops`` takes it.
     """
-    p, l, r = g.p, g.l, len(rvecs)
-    A11, A12 = _coupling_blocks(g, rvecs, range(l))
-    A22 = np.diag(np.array(g.poles, dtype=float))
-    B = np.concatenate([g.D1[:, p:], g.F[:, p:]])
-
-    def stack(M):
-        return np.repeat(M[None], r, axis=0)
-
-    A = np.zeros((r, p + l, p + l))
+    p, l = g.p, g.l
+    A11, A12 = _coupling_blocks(g, rvecs, slice(None))
+    A22 = np.diag(g.lam)
+    A = np.zeros((len(rvecs), p + l, p + l))
     A[:, :p, :p], A[:, :p, p:], A[:, p:, :p], A[:, p:, p:] = A11, A12, g.F[:, :p], A22
-    return ((stack(A22), stack(g.F[:, p:]), A12, stack(g.D1[:, p:])),
-            (A, stack(B), stack(np.eye(p, p + l)), np.zeros((r, p, B.shape[1]))))
+    B = np.concatenate([g.D1[:, p:], g.F[:, p:]])
+    return ((A22[None], g.F[None, :, p:], A12, g.D1[None, :, p:]),
+            (A, B[None], np.eye(p, p + l)[None], np.zeros((1, p, B.shape[1]))))
 
 
 def _zero_point_tests(g: GilbertData, flags, rvecs, tol_rank):
@@ -454,6 +451,6 @@ def transfer_degree(g: GilbertData) -> int:
     ``kalman_reduce``, which ranks against the largest, would drop that
     mode as unobservable.
     """
-    C = g.E.T / (np.array(g.poles, dtype=float) - g.shift)
-    A = np.diag(g.poles) + g.F[:, :g.p] @ C
+    C = g.E.T / (g.lam - g.shift)
+    A = np.diag(g.lam) + g.F[:, :g.p] @ C
     return kalman_reduce(A, g.F[:, g.p:], C)[0].shape[0]

@@ -161,7 +161,8 @@ def chain_clusters(x, tol: float) -> list:
     cluster however wide it grows.
     """
     x = np.sort(np.asarray(x, dtype=float))
-    return np.split(x, np.flatnonzero(np.diff(x) > tol) + 1) if x.size else []
+    cuts = [0, *(np.flatnonzero(x[1:] - x[:-1] > tol) + 1).tolist(), x.size]
+    return [x[a:b] for a, b in zip(cuts[:-1], cuts[1:])] if x.size else []
 
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -771,13 +772,17 @@ def merge_poles(poles, residues):
     """Distinct ``poles``, ascending, and their residues, summed over repeats.
 
     ``residues`` is n x rows x cols; a summed residue at or below
-    ``_CHOP_REL`` times its entry's largest is set to zero.
+    ``_CHOP_REL`` times its entry's largest is set to zero.  Each sum runs
+    from zero in the given order (``np.add.reduceat`` sums eight or more pairwise).
     """
-    lams, where = np.unique(poles, return_inverse=True)
-    K = np.zeros((lams.size, *residues.shape[1:]))
-    np.add.at(K, where, residues)
-    K[np.abs(K) <= _CHOP_REL * np.max(np.abs(K), axis=0, initial=0.0)] = 0.0
-    return lams, K
+    order = np.argsort(poles, kind="stable")
+    lams = poles[order]
+    first = np.ones(lams.size, dtype=bool)
+    first[1:] = lams[1:] != lams[:-1]
+    K = np.zeros((np.count_nonzero(first), *residues.shape[1:]))
+    np.add.at(K, np.cumsum(first) - 1, residues[order])
+    K[np.abs(K) <= _CHOP_REL * np.abs(K).max(axis=0, initial=0.0)] = 0.0
+    return lams[first], K
 
 
 def _build_pole_residue(prf: PoleResidueForm, keep_poles: bool) -> RationalMatrix:

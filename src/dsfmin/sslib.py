@@ -216,7 +216,7 @@ def numerical_rank(sv: np.ndarray, tol_rank: float, scale: float = None):
     array over the stack.  This is the one rank rule of the package.
     """
     ref = sv[..., :1] if scale is None else scale
-    return np.sum(sv > tol_rank * ref, axis=-1)
+    return np.add.reduce(sv > tol_rank * ref, axis=-1)
 
 
 def _reachable_basis(A: np.ndarray, B: np.ndarray, scale_b: float,
@@ -292,11 +292,14 @@ def factor_signs(K: np.ndarray, E: np.ndarray) -> np.ndarray:
     K and E may be stacks, (..., p, q) and (..., p, r); the signs are
     (..., r), so ``E * signs[..., None, :]`` applies them.
     """
-    dom_col = np.argmax(np.max(np.abs(K), axis=-2), axis=-1)
-    col = np.take_along_axis(K, dom_col[..., None, None], axis=-1)[..., 0]
-    dom = np.take_along_axis(col, np.argmax(np.abs(col), axis=-1)[..., None], axis=-1)
-    peak = np.take_along_axis(E, np.argmax(np.abs(E), axis=-2)[..., None, :], axis=-2)[..., 0, :]
-    return np.where((peak < 0) != (dom < 0), -1.0, 1.0)
+    lead, r = K.shape[:-2], E.shape[-1]
+    K = K.reshape(-1, *K.shape[-2:])  # one stack axis, read by integer indexing
+    k, E = np.arange(len(K)), E.reshape(len(K), *E.shape[-2:])
+    mag = np.abs(K)
+    dom_col = np.argmax(np.max(mag, axis=-2), axis=-1)
+    dom = K[k, np.argmax(mag[k, :, dom_col], axis=-1), dom_col]
+    peak = E[k[:, None], np.argmax(np.abs(E), axis=-2), np.arange(r)]
+    return np.where((peak < 0) != (dom[:, None] < 0), -1.0, 1.0).reshape(*lead, r)
 
 
 def rank_factorization(K: np.ndarray):
@@ -361,19 +364,28 @@ def normal_rank(M: RationalMatrix) -> int:
     return int(np.max(numerical_rank(sv, TOL_RANK)))
 
 
+def _pencils(A: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s_k I - A, (..., points, n, n), for A (..., n, n) and each point of s (..., points).
+
+    0 - A with s added on a view of the diagonal: for s > 0, s I - A bit for bit.
+    """
+    P = np.repeat(0.0 - A[..., None, :, :], s.shape[-1], axis=-3)
+    np.einsum("...ii->...i", P)[...] += s[..., None]  # einsum's diagonal is a writable view
+    return P
+
+
 def _normal_ranks(A, B, C, D, tol_rank: float) -> np.ndarray:
     """Normal ranks of a stack of systems (A, B, C, D), one per leading index.
 
+    The leading axes broadcast: a block every system shares may come once.
     Each system's G(s) is the largest rank at the eight ``off_pole_points``
     of its own spectrum; G is evaluated at every point of every system by
     one stacked solve, and the ranks come from one stacked singular value
     decomposition and one ``numerical_rank``.
     """
     s = off_pole_points(np.linalg.eigvals(A), 8)
-    pencil = s[..., None, None] * np.eye(A.shape[-1]) - A[:, None]
-    G = C[:, None] @ np.linalg.solve(pencil, np.broadcast_to(B[:, None], (*s.shape, *B.shape[1:])))
-    return np.max(numerical_rank(np.linalg.svd(G + D[:, None], compute_uv=False), tol_rank),
-                  axis=-1)
+    G = C[:, None] @ np.linalg.solve(_pencils(A, s), B[:, None]) + D[:, None]
+    return numerical_rank(np.linalg.svd(G, compute_uv=False), tol_rank).max(axis=-1)
 
 
 def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
@@ -388,16 +400,19 @@ def rosenbrock_drops(A, B, C, D, s, tol_rank: float = TOL_RANK) -> np.ndarray:
     """Rosenbrock rank test of a stack of systems, each at its own points.
 
     A, B, C and D hold the systems (A_k, B_k, C_k, D_k) along their first
-    axis, and ``s`` one row of points per system.  True where
-    rank [[A_k - s I, B_k], [C_k, D_k]] drops below n plus the normal rank
-    of system k's transfer function (``_normal_ranks``).  The ranks at all
-    the points come from one stacked singular value decomposition and one
-    ``numerical_rank`` at tol_rank; the verdicts are systems x points.
+    axis, which broadcasts as in ``_normal_ranks``, and ``s`` one row of
+    points per system.  True where rank [[A_k - s I, B_k], [C_k, D_k]]
+    drops below n plus the normal rank of system k's transfer function
+    (``_normal_ranks``).  The blocks are copied once into the matrices at
+    all the points, whose ranks come from one stacked singular value
+    decomposition and one ``numerical_rank`` at tol_rank; the verdicts
+    are systems x points.
     """
     n = A.shape[-1]
-    R = np.concatenate([np.concatenate([A, B], -1), np.concatenate([C, D], -1)], -2)[:, None]
-    R = np.array(np.broadcast_to(R, (*s.shape, *R.shape[2:])), dtype=np.result_type(R, s))
-    R[..., range(n), range(n)] -= s[..., None]
+    R = np.empty((*s.shape, n + C.shape[-2], n + B.shape[-1]), np.result_type(A, B, C, D, s))
+    R[..., :n, :n], R[..., :n, n:], R[..., n:, :n], R[..., n:, n:] = (
+        M[:, None] for M in (A, B, C, D))
+    np.einsum("...ii->...i", R[..., :n, :n])[...] -= s[..., None]
     full = n + _normal_ranks(A, B, C, D, tol_rank)
     return numerical_rank(np.linalg.svd(R, compute_uv=False), tol_rank) < full[:, None]
 

@@ -22,7 +22,7 @@ from dsfmin import (
     minimal_order,
     minreal_pipeline,
 )
-from dsfmin import minreal
+from dsfmin import dsf, minreal
 from dsfmin.errors import DsfminError
 
 from conftest import random_partition, random_pole_residue
@@ -153,3 +153,27 @@ def test_rational_entries_at_sixteen_poles_answer_as_modes():
             from_pole_residue(PoleResidueForm(poles, KP, np.zeros((4, 2))))))
         got.append(result if isinstance(result, str) else (result.l, result.phi))
     assert got == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: compute_dsf's stacked path and its staircase "
+                          "judge couplings near TOL_RANK apart")
+def test_weak_coupling_judged_alike_on_both_paths(monkeypatch):
+    rng = np.random.default_rng(0)
+    parts = []
+    while len(parts) < 10:
+        part = random_partition(rng, 2, 3, 1)
+        if np.any(np.linalg.eigvals(part.A22).imag != 0.0):
+            continue  # complex hidden modes send every row to the staircase
+        A12 = part.A12.copy()
+        A12[0] = 1e-7 * rng.standard_normal(part.h)
+        parts.append(PartitionedRealization(part.A11, A12, part.A21, part.A22, part.B1, part.B2))
+
+    def seen(part):
+        d = compute_dsf(part)
+        return len(d.poles), (d.residues != 0.0).tolist()
+
+    stacked = [seen(part) for part in parts]
+    monkeypatch.setattr(dsf, "_safe_rows", lambda lam, V, tol_pole: np.zeros(len(lam), dtype=bool))
+    differ = [k for k, part in enumerate(parts) if seen(part) != stacked[k]]
+    assert not differ, f"draws {differ}: pole count or residue support differs"
