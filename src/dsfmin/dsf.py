@@ -387,9 +387,10 @@ def structure_limits(d: DSF) -> StructureLimits:
     These recover the off-diagonal of A11 and the B1 block of any
     realization consistent with the structure function; the diagonal
     of lim s*Q is zero because Q's diagonal is.  With simple poles
-    lim s*[Q P] is the sum of the residues, ``d.residues``.
+    lim s*[Q P] is the sum of the residues, ``d.residues``, from zero in
+    descending pole order; every realization's A11 and B1 come from it.
     """
-    lim = d.residues.sum(axis=0)
+    lim = np.add.reduce(d.residues[::-1], axis=0, initial=0.0)  # 0 + K_{l-1} + ... + K_0
     return StructureLimits(lim[:, :d.p], lim[:, d.p:])
 
 

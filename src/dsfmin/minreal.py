@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsf import DSF, consistency_check
+from .dsf import DSF, consistency_check, structure_limits
 from .errors import (
     ConflictingAssignment,
     PoleAtZeroWithoutShift,
@@ -116,7 +116,7 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     poles so that the origin factor does not swallow the pole.  Since
     [Q P] is strictly proper, the residue of the shifted matrix at lam
     is (lam - a) times that of [Q P], and its value at infinity is
-    lim s[Q P] whatever a is: with simple poles, the sum of the residues.
+    lim s[Q P] whatever a is: D1, the one residue sum, ``structure_limits``.
     The poles are ``d.poles``, the residues ``d.residues``, and every pole
     decision uses ``d.tol_pole``; whether a pole sits at the origin, and so
     the shift, is decided here and nowhere else.  Each residue must have
@@ -136,9 +136,7 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
         if a != 0.0 and any(abs(x - a) <= tol_pole for x in d.poles):
             raise ValueError(f"shift {a} coincides with a pole of [Q P]")
     poles = d.poles[::-1]
-    residues = d.residues[::-1]
-    D1 = np.add.reduce(residues, axis=0, initial=0.0)  # 0 + K_0 + K_1 + ..., in order
-    K = (np.array(poles) - a)[:, None, None] * residues
+    K = (np.array(poles) - a)[:, None, None] * d.residues[::-1]
     U, sv, _ = np.linalg.svd(K, full_matrices=False)
     ranks = numerical_rank(sv, tol_rank)
     for lam, r in zip(poles, ranks.tolist()):
@@ -152,7 +150,8 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     E = (E * factor_signs(K, E)[:, None, :])[:, :, 0]
     # F per the factorization convention (E^T E)^(-1) E^T K
     F = (E[:, None, :] @ K)[:, 0, :] / (E * E).sum(axis=1)[:, None]
-    return GilbertData(poles, E, F, D1, a, d.p, d.m)
+    lim = structure_limits(d)
+    return GilbertData(poles, E, F, np.hstack([lim.A11_offdiag, lim.B1]), a, d.p, d.m)
 
 
 def _supports(g: GilbertData, tol_orth: float) -> np.ndarray:
@@ -272,34 +271,32 @@ def cancellation_check(g: GilbertData, r: RStar, tol_orth: float = TOL_ORTH) -> 
     return (~kept.any(axis=1)).tolist()
 
 
-def _coupling_blocks(g: GilbertData, rvecs: np.ndarray, keep):
-    """A11 and A12 of [W V] = [R 0] + D1 + sum_i N(lam_i) K_i / (s - lam_i), stacked.
+def _blocks(g: GilbertData, rvecs: np.ndarray, keep):
+    """The six blocks of [W V] = [R 0] + D1 + sum_i N(lam_i) K_i / (s - lam_i).
 
-    One pair per R* vector of ``rvecs`` (members x p): A11 is D1's Q block
-    with R on its diagonal, and A12 holds the columns N(lam_i) E_i of the
-    modes that ``keep`` (an index list or a slice) selects.  Every member
-    takes the arithmetic of one vector alone.
+    D1 = lim s[Q P].  Per R* vector of ``rvecs`` (members x p), each by
+    its own arithmetic: A11, D1's Q block with R on its diagonal, and
+    A12 = N(lam) E, stacked.  Shared, and possibly views of g: A21 = F_y,
+    A22 = diag(lam), B1 = D1's P block and B2 = F_u.  ``keep`` (an index
+    list or a slice) selects the modes that get a hidden state.
     """
     p = g.p
     lam = g.lam[keep]
-    A11 = g.D1[:, :p].copy()
-    np.einsum("ii->i", A11)[...] = 0.0
-    diag = np.zeros((len(rvecs), p, p))
-    np.einsum("...ii->...i", diag)[...] = rvecs
-    return A11 + diag, (lam - rvecs[:, :, None]) / (lam - g.shift) * g.E[keep].T
+    # + 0.0 makes a -0.0 read 0.0, as the sum D1 + diag(R) would
+    A11 = np.where(np.eye(p, dtype=bool), rvecs[:, None, :], g.D1[:, :p]) + 0.0
+    return (A11, (lam - rvecs[:, :, None]) / (lam - g.shift) * g.E[keep].T,
+            g.F[keep, :p], np.diag(lam), g.D1[:, p:], g.F[keep, p:])
 
 
 def _assemble(g: GilbertData, rvec: np.ndarray, keep) -> PartitionedRealization:
-    """Realization of [W V] = [R 0] + D1 + sum_i N(lam_i) K_i / (s - lam_i).
+    """``_blocks`` for the one R* vector rvec, its shared blocks copied from g.
 
     Only the modes listed in ``keep`` get a hidden state; listing every
     mode gives the full cascade, where a cancelled pole stays as an
     unobservable state.
     """
-    p = g.p
-    (A11,), (A12,) = _coupling_blocks(g, rvec[None], keep)
-    return PartitionedRealization(A11, A12, g.F[keep, :p], np.diag(g.lam[keep]),
-                                  g.D1[:, p:].copy(), g.F[keep, p:])
+    (A11,), (A12,), *shared = _blocks(g, rvec[None], keep)
+    return PartitionedRealization(A11, A12, *(x.copy() for x in shared))
 
 
 def realize(d: DSF, r: RStar, modes: GilbertData = None) -> PartitionedRealization:
@@ -356,30 +353,26 @@ class PipelineResult(MinimalOrder):
 def _cascades(g: GilbertData, rvecs: np.ndarray):
     """The full cascades of a stack of R* vectors, and their V-subsystems, as arrays.
 
-    Member k is ``_assemble(g, rvecs[k], range(g.l))``, bit for bit, but
-    stacked and without the ``PartitionedRealization``: every mode keeps
-    its hidden state, so A21 = F_y, A22 = diag(lam), B1 = D1_u and
-    B2 = F_u are shared, and only A11 and A12 depend on R*.  Returns the
-    V-subsystems (A22, B2, A12, B1) and the assembled systems
-    ([[A11, A12], [A21, A22]], [B1; B2], [I 0], 0), each as stacked
-    A, B, C, D, where a block that every member shares comes once, with
-    leading axis 1, as ``rosenbrock_drops`` takes it.
+    Member k is ``_assemble(g, rvecs[k], range(g.l))`` bit for bit, but
+    stacked: ``_blocks`` with every mode kept.  Returns the V-subsystems
+    (A22, B2, A12, B1) and the assembled systems ([[A11, A12], [A21, A22]],
+    [B1; B2], [I 0], 0), each as stacked A, B, C, D, where a block that
+    every member shares comes once, with leading axis 1, as
+    ``rosenbrock_drops`` takes it.
     """
     p, l = g.p, g.l
-    A11, A12 = _coupling_blocks(g, rvecs, slice(None))
-    A22 = np.diag(g.lam)
+    A11, A12, A21, A22, B1, B2 = _blocks(g, rvecs, slice(None))
     A = np.zeros((len(rvecs), p + l, p + l))
-    A[:, :p, :p], A[:, :p, p:], A[:, p:, :p], A[:, p:, p:] = A11, A12, g.F[:, :p], A22
-    B = np.concatenate([g.D1[:, p:], g.F[:, p:]])
-    return ((A22[None], g.F[None, :, p:], A12, g.D1[None, :, p:]),
-            (A, B[None], np.eye(p, p + l)[None], np.zeros((1, p, B.shape[1]))))
+    A[:, :p, :p], A[:, :p, p:], A[:, p:, :p], A[:, p:, p:] = A11, A12, A21, A22
+    return ((A22[None], B2[None], A12, B1[None]),
+            (A, np.concatenate([B1, B2])[None], np.eye(p, p + l)[None], np.zeros((1, p, g.m))))
 
 
-def _zero_point_tests(g: GilbertData, flags, rvecs, tol_rank):
+def _zero_point_tests(g: GilbertData, cancelled, rvecs, tol_rank):
     """Invariant-zero agreement at cancelled poles and a control point.
 
-    ``flags`` and ``rvecs`` hold, for each realization of a stack, its
-    cancellation flags and its materialized R*; every member cancels the
+    ``cancelled`` and ``rvecs`` hold, for each realization of a stack,
+    its cancelled poles and its materialized R*; every member cancels the
     same number of poles.  The tests run on the full (uncancelled)
     cascade of each R* (``_cascades``), where a removed pole persists as
     an unobservable mode: the V-subsystem (A22, B2, A12, B1) and the
@@ -396,9 +389,9 @@ def _zero_point_tests(g: GilbertData, flags, rvecs, tol_rank):
     if g.l >= 2:
         lam0, lam1 = g.poles[:2]
         control = [0.5 * (lam0 + lam1) + 0.5j * abs(lam0 - lam1)]
-    points = [[lam for lam, flag in zip(g.poles, f) if flag] + control for f in flags]
+    points = [c + control for c in cancelled]
     if not points[0]:
-        return [[] for _ in flags]
+        return [[] for _ in cancelled]
     expected = [True] * (len(points[0]) - len(control)) + [False] * len(control)
     at = np.array(points)
     v_zero, g_zero = (rosenbrock_drops(*systems, at, tol_rank)
@@ -414,25 +407,23 @@ def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = T
     One realization is produced per maximum clique (or just the first,
     lexicographically, when enumerate_all is off), each verified for
     consistency against the input structure function.  Every clique's
-    R*, flags and realization are built first; then the realizations
-    are verified as one stack, with one ``consistency_check`` and one
-    ``_zero_point_tests``.  Each maximum clique has phi members and its
-    R* removes exactly those poles, so all realizations of one search
-    share one shape.
+    R*, flags and realization are built first; then the realizations are
+    verified as one stack, with one ``consistency_check`` and one
+    ``_zero_point_tests``; only then is each ``RealizationReport`` built,
+    complete.  Each maximum clique has phi members and its R* removes
+    exactly those poles, so all realizations of one search share one shape.
     """
     g, cg, cl, answer = _search(d, enumerate_all, tol_rank, tol_orth)
-    reports, rvecs = [], []
-    for clique in cl.cliques:
-        rstar = construct_rstar(g, clique, tol_orth)
-        rvecs.append(rstar.materialize())
-        flags = cancellation_check(g, rstar, tol_orth)
-        part = _assemble(g, rvecs[-1], [i for i, f in enumerate(flags) if not f])
-        cancelled = [g.poles[i] for i in range(g.l) if flags[i]]
-        reports.append(RealizationReport(rstar, part, part.order, cancelled, flags, None))
-    consistent = consistency_check([r.realization for r in reports], d, tol_eval)
-    checks = _zero_point_tests(g, [r.cancellation_flags for r in reports], rvecs, tol_rank)
-    for r, ok, zero_checks in zip(reports, consistent, checks):
-        r.consistent, r.zero_checks = ok, zero_checks
+    rstars = [construct_rstar(g, clique, tol_orth) for clique in cl.cliques]
+    rvecs = [r.materialize() for r in rstars]
+    flags = [cancellation_check(g, r, tol_orth) for r in rstars]
+    parts = [_assemble(g, rvec, [i for i, f in enumerate(fl) if not f])
+             for rvec, fl in zip(rvecs, flags)]
+    cancelled = [[lam for lam, f in zip(g.poles, fl) if f] for fl in flags]
+    verdicts = zip(consistency_check(parts, d, tol_eval),
+                   _zero_point_tests(g, cancelled, rvecs, tol_rank))
+    reports = [RealizationReport(r, x, x.order, c, fl, ok, zc) for r, x, c, fl, (ok, zc)
+               in zip(rstars, parts, cancelled, flags, verdicts)]
     return PipelineResult(**vars(answer), gilbert=g, graph=cg, cliques=cl, realizations=reports)
 
 

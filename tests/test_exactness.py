@@ -13,13 +13,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dsfmin import PartitionedRealization, compute_dsf, dsf, minreal_pipeline, sslib
+from dsfmin import (
+    PartitionedRealization,
+    compute_dsf,
+    dsf,
+    minreal_pipeline,
+    realize,
+    sslib,
+    structure_limits,
+)
 from dsfmin.dsf import _row_systems, consistency_check
-from dsfmin.minreal import _supports, compatibility_graph, extract_modes
+from dsfmin.minreal import _assemble, _cascades, _supports, compatibility_graph, extract_modes
 from dsfmin.ratcore import chain_clusters, merge_poles
 from dsfmin.sslib import _pencils, factor_signs, rosenbrock_drops
 
-from conftest import random_partition
+from conftest import random_dsf, random_partition
 from test_dsf import _relay_blocks
 
 
@@ -31,6 +39,24 @@ def _relay_part(rng, p, h):
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _relay_pool(rounds=60):
+    """perfbench's relay_ladder models of seeds 0 and 1, first ``rounds`` rounds, as DSFs."""
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for _ in range(rounds):
+            for size in ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4)):
+                yield compute_dsf(_relay_part(rng, *size))
+
+
+def _pole_residue_pool(rounds=150):
+    """perfbench's dsf_ladder models of seeds 0 and 1: ``random_dsf`` draws alike."""
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for _ in range(rounds):
+            for l in (2, 3, 4):
+                yield random_dsf(rng, 4, 2, l)
 
 
 class TestMergePoles:
@@ -113,6 +139,64 @@ def test_extract_modes_d1_is_the_sum_from_zero():
         d = compute_dsf(_relay_part(rng, 5, 4))
         assert _same_bits(extract_modes(d).D1,
                           sum(d.residues[::-1], np.zeros((d.p, d.p + d.m))))
+
+
+def test_structure_limits_are_the_realizations_d1():
+    # one sum of the residues, from zero in descending pole order, for both
+    count = 0
+    for d in [*_relay_pool(), *_pole_residue_pool()]:
+        lim = structure_limits(d)
+        assert _same_bits(np.hstack([lim.A11_offdiag, lim.B1]), minreal_pipeline(d).gilbert.D1)
+        count += 1
+    assert count == 1500
+
+
+class TestOneBuilder:
+    """Every realization and cascade comes from one builder, with the bits it had before."""
+
+    BLOCKS = ("A11", "A12", "A21", "A22", "B1", "B2")
+
+    @staticmethod
+    def coupling_reference(g, rvecs, keep):
+        """A11 and A12 as the stacked helper that preceded the builder formed them."""
+        p = g.p
+        lam = g.lam[keep]
+        A11 = g.D1[:, :p].copy()
+        np.einsum("ii->i", A11)[...] = 0.0
+        diag = np.zeros((len(rvecs), p, p))
+        np.einsum("...ii->...i", diag)[...] = rvecs
+        return A11 + diag, (lam - rvecs[:, :, None]) / (lam - g.shift) * g.E[keep].T
+
+    def same_blocks(self, x, y):
+        return all(_same_bits(getattr(x, key), getattr(y, key)) for key in self.BLOCKS)
+
+    def test_reports_and_cascades_on_relay_and_pole_residue_pools(self):
+        checked = 0
+        for d in [*_relay_pool(20), *_pole_residue_pool(40)]:
+            result = minreal_pipeline(d, enumerate_all=True)
+            g, reports = result.gilbert, result.realizations
+            rvecs = np.array([r.rstar.materialize() for r in reports])
+            for r, rvec in zip(reports, rvecs):
+                keep = [i for i, f in enumerate(r.cancellation_flags) if not f]
+                x = r.realization
+                assert self.same_blocks(x, realize(d, r.rstar, g))
+                assert self.same_blocks(x, _assemble(g, rvec, keep))
+                A11, A12 = self.coupling_reference(g, rvec[None], keep)
+                assert _same_bits(x.A11, A11[0]) and _same_bits(x.A12, A12[0])
+            (vA, vB, vC, vD), (A, B, C, D) = _cascades(g, rvecs)
+            A11, A12 = self.coupling_reference(g, rvecs, slice(None))
+            assert _same_bits(vC, A12)
+            assert _same_bits(A[:, :g.p, :g.p], A11) and _same_bits(A[:, :g.p, g.p:], A12)
+            for k, rvec in enumerate(rvecs):
+                full = _assemble(g, rvec, range(g.l))
+                ss = full.assemble()
+                assert _same_bits(A[k], ss.A) and _same_bits(B[0], ss.B)
+                assert _same_bits(C[0], ss.C) and _same_bits(D[0], ss.D)
+                for got, want in zip((vA[0], vB[0], vC[k], vD[0]),
+                                     (full.A22, full.B2, full.A12, full.B1)):
+                    assert _same_bits(got, want)
+                checked += 1
+        assert checked > 500
 
 
 def test_compatibility_graph_against_triu():

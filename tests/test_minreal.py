@@ -546,6 +546,40 @@ class TestStackedChecks:
         assert ranks.tolist() == [_transfer_normal_rank(ss, TOL_RANK) for ss in stack] == [2, 1, 2]
 
 
+class TestNoSharedMemory:
+    """A realization shares no memory with the modes or with another realization."""
+
+    BLOCKS = ("A11", "A12", "A21", "A22", "B1", "B2")
+
+    def test_changing_one_report_leaves_the_rest(self):
+        relay_blocks = _relay_blocks()
+        rng = np.random.default_rng(0)
+        searched = 0
+        for _ in range(12):
+            for size in ((4, 3), (5, 3), (5, 4)):
+                b = relay_blocks(rng, *size, 2)
+                d = compute_dsf(PartitionedRealization(b.A11, b.A12, b.A21, b.A22,
+                                                       b.B1, b.B2))
+                result = minreal_pipeline(d, enumerate_all=True)
+                g, reports = result.gilbert, result.realizations
+                if len(reports) < 2:
+                    continue
+                for k, changed in enumerate(reports):
+                    modes = [x.copy() for x in (g.E, g.F, g.D1, g.lam)]
+                    blocks = [[getattr(r.realization, key).copy() for key in self.BLOCKS]
+                              for r in reports]
+                    for key in self.BLOCKS:
+                        getattr(changed.realization, key)[...] += 1.0
+                    assert all(np.array_equal(x, want)
+                               for x, want in zip((g.E, g.F, g.D1, g.lam), modes))
+                    for r, want in zip(reports, blocks):
+                        if r is not changed:
+                            assert all(np.array_equal(getattr(r.realization, key), w)
+                                       for key, w in zip(self.BLOCKS, want))
+                searched += 1
+        assert searched >= 5
+
+
 def _minimal_part_order(part):
     ss = part.assemble()
     return kalman_reduce(ss.A, ss.B, ss.C)[0].shape[0]
