@@ -47,7 +47,8 @@ class GilbertData:
     column factor E_i of residue K_i = E_i F_i and row i of F, l x (p+m),
     the row factor F_i; lists of vectors are stacked into those arrays.
     When a pole of [Q P] sits at the origin the working factor is
-    (s - shift) with shift chosen off all poles; shift is 0 otherwise.
+    (s - shift) with shift off all poles, else shift is 0.  The modes keep
+    the search's tol_rank and tol_orth; ``support`` is E's at tol_orth.
     """
 
     poles: list
@@ -57,11 +58,14 @@ class GilbertData:
     shift: float
     p: int
     m: int
+    tol_rank: float = TOL_RANK
+    tol_orth: float = TOL_ORTH
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float).reshape(self.l, self.p)
         self.F = np.asarray(self.F, dtype=float).reshape(self.l, self.p + self.m)
         self.lam = np.array(self.poles, dtype=float)  # the poles as one array
+        self.support = _supports(self, self.tol_orth)
 
     @property
     def l(self) -> int:
@@ -108,7 +112,8 @@ class RStar:
         return "diag{" + ", ".join(parts) + "}"
 
 
-def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> GilbertData:
+def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, tol_orth: float = TOL_ORTH,
+                  shift="auto") -> GilbertData:
     """Rank-1 residue data of the structure function.
 
     Works on [(s-a)Q (s-a)P] where a = 0 normally; when [Q P] has a pole
@@ -121,8 +126,8 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     decision uses ``d.tol_pole``; whether a pole sits at the origin, and so
     the shift, is decided here and nowhere else.  Each residue must have
     rank 1 by ``numerical_rank`` at tol_rank, taken on all the residues'
-    singular values at once; the repeated-pole generalization where
-    residues gain rank is not implemented.
+    singular values at once (the repeated-pole case, where residues gain
+    rank, is not implemented).  The modes keep tol_rank and tol_orth.
     """
     tol_pole = d.tol_pole
     max_mag = max((abs(x) for x in d.poles), default=0.0)
@@ -151,7 +156,8 @@ def extract_modes(d: DSF, *, tol_rank: float = TOL_RANK, shift="auto") -> Gilber
     # F per the factorization convention (E^T E)^(-1) E^T K
     F = (E[:, None, :] @ K)[:, 0, :] / (E * E).sum(axis=1)[:, None]
     lim = structure_limits(d)
-    return GilbertData(poles, E, F, np.hstack([lim.A11_offdiag, lim.B1]), a, d.p, d.m)
+    return GilbertData(poles, E, F, np.hstack([lim.A11_offdiag, lim.B1]), a, d.p, d.m,
+                       tol_rank, tol_orth)
 
 
 def _supports(g: GilbertData, tol_orth: float) -> np.ndarray:
@@ -160,14 +166,13 @@ def _supports(g: GilbertData, tol_orth: float) -> np.ndarray:
     return mag > tol_orth * mag.max(axis=1, keepdims=True)
 
 
-def compatibility_graph(g: GilbertData, tol_orth: float = TOL_ORTH) -> CompatGraph:
+def compatibility_graph(g: GilbertData) -> CompatGraph:
     """Graph whose edges join residue vectors that can cancel together.
 
-    i and j are joined when the supports of E_i and E_j (components above
-    tol_orth times the vector's largest) do not overlap: R is diagonal,
-    so exactly then can one R remove both poles.
+    i and j are joined when the supports ``g.support`` of E_i and E_j do
+    not overlap: R is diagonal, so exactly then can one R remove both poles.
     """
-    S = _supports(g, tol_orth).astype(int)
+    S = g.support.astype(int)
     i, j = np.nonzero(S @ S.T == 0)  # row by row, so the edges come sorted
     return CompatGraph(g.l, [(a, b) for a, b in zip(i.tolist(), j.tolist()) if a < b])
 
@@ -214,8 +219,8 @@ class MinimalOrder:
 
 def _search(d: DSF, enumerate_all: bool, tol_rank: float, tol_orth: float):
     """The one search: modes, compatibility graph, maximum cliques, and their answer."""
-    g = extract_modes(d, tol_rank=tol_rank)
-    cg = compatibility_graph(g, tol_orth=tol_orth)
+    g = extract_modes(d, tol_rank=tol_rank, tol_orth=tol_orth)
+    cg = compatibility_graph(g)
     cl = maximum_cliques(cg, enumerate_all)
     return g, cg, cl, MinimalOrder(g.l, cl.phi, d.p + g.l - cl.phi, g.l - cl.phi)
 
@@ -226,20 +231,19 @@ def minimal_order(d: DSF, *, tol_rank: float = TOL_RANK,
     return _search(d, False, tol_rank, tol_orth)[3]
 
 
-def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar:
+def construct_rstar(g: GilbertData, clique) -> RStar:
     """Diagonal cancellation matrix forced by a clique of residue vectors.
 
-    Every nonzero component of E_i pins the matching diagonal entry to
-    lam_i; positions untouched by the clique stay free.  Overlapping
-    supports inside the clique (a set of poles that is not a clique of
-    ``compatibility_graph``) demand two values at once and raise
-    ConflictingAssignment.
+    Every component of E_i in its support, ``g.support``, pins the
+    matching diagonal entry to lam_i; positions untouched by the clique
+    stay free.  Overlapping supports inside the clique (a set of poles that
+    is not a clique of ``compatibility_graph``) demand two values at once
+    and raise ConflictingAssignment.
     """
-    support = _supports(g, tol_orth)
     entries = [None] * g.p
     for i in clique:
         lam = g.poles[i]
-        for j in support[i].nonzero()[0].tolist():
+        for j in g.support[i].nonzero()[0].tolist():
             if entries[j] is not None and entries[j] != lam:
                 raise ConflictingAssignment(
                     f"diagonal position {j} is claimed by poles {entries[j]} and "
@@ -248,18 +252,19 @@ def construct_rstar(g: GilbertData, clique, tol_orth: float = TOL_ORTH) -> RStar
     return RStar(tuple(entries))
 
 
-def cancellation_check(g: GilbertData, r: RStar, tol_orth: float = TOL_ORTH) -> list:
+def cancellation_check(g: GilbertData, r: RStar) -> list:
     """Per-pole flags: True where N(lam_i) E_i vanishes (pole removed).
 
     N(lam_i) acts entrywise as (lam_i - r_j) / (lam_i - a), with r the
     materialized R and a the shift, so it vanishes on component j exactly
     when r_j = lam_i.  A pole is removed when that holds on the support of
-    E_i, ``_supports`` at tol_orth: the rule of ``compatibility_graph`` and
-    ``construct_rstar``, which copies the poles into R*.  So the R* of a
-    maximum clique removes the clique's poles and no other, since every
-    other pole shares a support position with a member.  The shift is
-    decided by ``extract_modes``; only a pole equal to it, where N is
-    undefined, raises PoleAtZeroWithoutShift.
+    E_i, ``g.support`` at the modes' tol_orth, which ``compatibility_graph``
+    and ``construct_rstar`` read too; the latter copies the poles into R*.
+    So the R* of a maximum clique removes the clique's poles and no other,
+    since every other pole shares a support position with a member, and a
+    search's R* and modes give its own flags.  The shift is decided by
+    ``extract_modes``; only a pole equal to it, where N is undefined,
+    raises PoleAtZeroWithoutShift.
     """
     lam = g.lam
     at_shift = (lam == g.shift).nonzero()[0]
@@ -267,7 +272,7 @@ def cancellation_check(g: GilbertData, r: RStar, tol_orth: float = TOL_ORTH) -> 
         raise PoleAtZeroWithoutShift(
             f"cannot evaluate the cancellation factor at pole {g.poles[at_shift[0]]} "
             f"with shift {g.shift}")
-    kept = _supports(g, tol_orth) & (lam[:, None] != r.materialize())
+    kept = g.support & (lam[:, None] != r.materialize())
     return (~kept.any(axis=1)).tolist()
 
 
@@ -368,7 +373,7 @@ def _cascades(g: GilbertData, rvecs: np.ndarray):
             (A, np.concatenate([B1, B2])[None], np.eye(p, p + l)[None], np.zeros((1, p, g.m))))
 
 
-def _zero_point_tests(g: GilbertData, cancelled, rvecs, tol_rank):
+def _zero_point_tests(g: GilbertData, cancelled, rvecs):
     """Invariant-zero agreement at cancelled poles and a control point.
 
     ``cancelled`` and ``rvecs`` hold, for each realization of a stack,
@@ -394,7 +399,7 @@ def _zero_point_tests(g: GilbertData, cancelled, rvecs, tol_rank):
         return [[] for _ in cancelled]
     expected = [True] * (len(points[0]) - len(control)) + [False] * len(control)
     at = np.array(points)
-    v_zero, g_zero = (rosenbrock_drops(*systems, at, tol_rank)
+    v_zero, g_zero = (rosenbrock_drops(*systems, at, g.tol_rank)
                       for systems in _cascades(g, np.array(rvecs)))
     return [[ZeroMatch(*check) for check in zip(pts, v.tolist(), z.tolist(), expected)]
             for pts, v, z in zip(points, v_zero, g_zero)]
@@ -414,14 +419,14 @@ def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = T
     exactly those poles, so all realizations of one search share one shape.
     """
     g, cg, cl, answer = _search(d, enumerate_all, tol_rank, tol_orth)
-    rstars = [construct_rstar(g, clique, tol_orth) for clique in cl.cliques]
+    rstars = [construct_rstar(g, clique) for clique in cl.cliques]
     rvecs = [r.materialize() for r in rstars]
-    flags = [cancellation_check(g, r, tol_orth) for r in rstars]
+    flags = [cancellation_check(g, r) for r in rstars]
     parts = [_assemble(g, rvec, [i for i, f in enumerate(fl) if not f])
              for rvec, fl in zip(rvecs, flags)]
     cancelled = [[lam for lam, f in zip(g.poles, fl) if f] for fl in flags]
     verdicts = zip(consistency_check(parts, d, tol_eval),
-                   _zero_point_tests(g, cancelled, rvecs, tol_rank))
+                   _zero_point_tests(g, cancelled, rvecs))
     reports = [RealizationReport(r, x, x.order, c, fl, ok, zc) for r, x, c, fl, (ok, zc)
                in zip(rstars, parts, cancelled, flags, verdicts)]
     return PipelineResult(**vars(answer), gilbert=g, graph=cg, cliques=cl, realizations=reports)

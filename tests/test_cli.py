@@ -447,6 +447,20 @@ class TestSearchOptions:
         A = json.loads((tmp_path / "realization_1.json").read_text())["A"]
         assert np.shape(A) == (2, 2)
 
+    @pytest.mark.parametrize("flags, order", [(["--tol-orth", "1e-4"], 2), ([], 3)])
+    def test_verify_searches_at_its_tol_orth(self, tmp_path, capsys, flags, order):
+        # verify's minimal order is its own search, at its own --tol-orth;
+        # the order-2 realization that minreal writes at 1e-4 is inconsistent
+        path = tmp_path / "near_disjoint.json"
+        path.write_text(json.dumps(NEAR_DISJOINT_JSON))
+        assert main(["minreal", str(path), "--tol-orth", "1e-4", "--out-dir", str(tmp_path)]) == 1
+        capsys.readouterr()
+        code = main(["verify", str(path), str(tmp_path / "realization_1.json"), *flags])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"realization order: 2; minimal consistent order: {order}" in out
+        assert "verdict: inconsistent" in out
+
     def test_pole_near_origin_without_shift(self, tmp_path, capsys):
         # at --tol-pole 1e-12 the pole 5e-10 is off the origin, so no shift
         # is taken; the answer is the one the shifted search gives

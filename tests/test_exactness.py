@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from dsfmin import (
+    DSF,
     PartitionedRealization,
+    cancellation_check,
     compute_dsf,
     dsf,
     minreal_pipeline,
@@ -197,6 +199,18 @@ class TestOneBuilder:
                     assert _same_bits(got, want)
                 checked += 1
         assert checked > 500
+
+    @pytest.mark.parametrize("tol_orth", [1e-8, 1e-4])
+    def test_realize_keeps_the_pipelines_tol_orth(self, tol_orth):
+        # the residue vector at -1 is (1, 1e-6): its support is both rows at
+        # tol_orth 1e-8 and row 0 alone at 1e-4, so the tolerance moves R*
+        d = DSF.from_modes([-1.0, -2.0], [[[0.0, 0.0, 1.0], [0.0, 0.0, 1e-6]],
+                                          [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]])
+        res = minreal_pipeline(d, enumerate_all=True, tol_orth=tol_orth)
+        assert res.realizations
+        for r in res.realizations:
+            assert self.same_blocks(r.realization, realize(d, r.rstar, res.gilbert))
+            assert cancellation_check(res.gilbert, r.rstar) == r.cancellation_flags
 
 
 def test_compatibility_graph_against_triu():
