@@ -24,8 +24,8 @@ from .errors import (
     PoleAtZeroWithoutShift,
     ResidueRankExceedsOne,
 )
-# unused here; perfbench/test_perfbench.py::test_tracer_accounts_for_op_time reads it
-from .ratcore import TOL_EVAL, residue_at  # noqa: F401
+# residue_at is unused here; perfbench/test_perfbench.py::test_tracer_accounts_for_op_time reads it
+from .ratcore import TOL_EVAL, off_pole_points, residue_at  # noqa: F401
 from .sslib import (
     TOL_RANK,
     PartitionedRealization,
@@ -386,7 +386,10 @@ def _zero_point_tests(g: GilbertData, cancelled, rvecs):
     0.5 (lam_0 + lam_1) + 0.5j |lam_0 - lam_1| for the two largest poles,
     the same for every member.  It lies off the real axis, where a real
     system has a zero only by coincidence; the real midpoint is a true
-    zero of 1/(s+1) + 1/(s+2), for one.  One ``rosenbrock_drops`` call
+    zero of 1/(s+1) + 1/(s+2), for one.  The cascade's G(s) is
+    (sI - W(s))^(-1) V(s), so both systems are judged against the normal
+    rank of V(s) = B1 + A12 (sI - diag(lam))^(-1) B2, read from the modes
+    at the ``off_pole_points`` of lam.  One ``rosenbrock_drops`` call
     tests every member's V-subsystem at its own points, and one every
     assembled system.  Returns one list of ``ZeroMatch`` per member.
     """
@@ -399,8 +402,12 @@ def _zero_point_tests(g: GilbertData, cancelled, rvecs):
         return [[] for _ in cancelled]
     expected = [True] * (len(points[0]) - len(control)) + [False] * len(control)
     at = np.array(points)
-    v_zero, g_zero = (rosenbrock_drops(*systems, at, g.tol_rank)
-                      for systems in _cascades(g, np.array(rvecs)))
+    cascades = _cascades(g, np.array(rvecs))
+    _, B2, A12, B1 = cascades[0]
+    V = B1 + (A12[:, None] / (off_pole_points(g.lam, 8)[:, None, None] - g.lam)) @ B2
+    normal = numerical_rank(np.linalg.svd(V, compute_uv=False), g.tol_rank).max(axis=-1)
+    v_zero, g_zero = (rosenbrock_drops(*systems, at, g.tol_rank, normal=normal)
+                      for systems in cascades)
     return [[ZeroMatch(*check) for check in zip(pts, v.tolist(), z.tolist(), expected)]
             for pts, v, z in zip(points, v_zero, g_zero)]
 

@@ -396,14 +396,15 @@ def _transfer_normal_rank(ss: StateSpace, tol_rank: float) -> int:
     return int(_normal_ranks(ss.A[None], ss.B[None], ss.C[None], ss.D[None], tol_rank)[0])
 
 
-def rosenbrock_drops(A, B, C, D, s, tol_rank: float = TOL_RANK) -> np.ndarray:
+def rosenbrock_drops(A, B, C, D, s, tol_rank: float = TOL_RANK, *, normal=None) -> np.ndarray:
     """Rosenbrock rank test of a stack of systems, each at its own points.
 
     A, B, C and D hold the systems (A_k, B_k, C_k, D_k) along their first
     axis, which broadcasts as in ``_normal_ranks``, and ``s`` one row of
     points per system.  True where rank [[A_k - s I, B_k], [C_k, D_k]]
-    drops below n plus the normal rank of system k's transfer function
-    (``_normal_ranks``).  The blocks are copied once into the matrices at
+    drops below n plus the normal rank of system k's transfer function:
+    ``normal``, one per system, when the caller has them, else
+    ``_normal_ranks``.  The blocks are copied once into the matrices at
     all the points, whose ranks come from one stacked singular value
     decomposition and one ``numerical_rank`` at tol_rank; the verdicts
     are systems x points.
@@ -413,7 +414,7 @@ def rosenbrock_drops(A, B, C, D, s, tol_rank: float = TOL_RANK) -> np.ndarray:
     R[..., :n, :n], R[..., :n, n:], R[..., n:, :n], R[..., n:, n:] = (
         M[:, None] for M in (A, B, C, D))
     np.einsum("...ii->...i", R[..., :n, :n])[...] -= s[..., None]
-    full = n + _normal_ranks(A, B, C, D, tol_rank)
+    full = n + (_normal_ranks(A, B, C, D, tol_rank) if normal is None else normal)
     return numerical_rank(np.linalg.svd(R, compute_uv=False), tol_rank) < full[:, None]
 
 

@@ -19,6 +19,7 @@ from dsfmin import (
     cancellation_check,
     compute_dsf,
     dsf,
+    minreal,
     minreal_pipeline,
     realize,
     sslib,
@@ -27,7 +28,15 @@ from dsfmin import (
 from dsfmin.dsf import _row_systems, consistency_check
 from dsfmin.minreal import _assemble, _cascades, _supports, compatibility_graph, extract_modes
 from dsfmin.ratcore import chain_clusters, merge_poles
-from dsfmin.sslib import _pencils, factor_signs, rosenbrock_drops
+from dsfmin.sslib import (
+    TOL_RANK,
+    StateSpace,
+    _normal_ranks,
+    _pencils,
+    _transfer_normal_rank,
+    factor_signs,
+    rosenbrock_drops,
+)
 
 from conftest import random_dsf, random_partition
 from test_dsf import _relay_blocks
@@ -313,6 +322,75 @@ class TestDiagonalShift:
         assert _same_bits(f, wv / (s[:, None] - w_ii)[..., None])
 
 
+def _one_input(part):
+    """``part`` with its second input column a copy of its first: normal rank 1."""
+    B1, B2 = part.B1.copy(), part.B2.copy()
+    B1[:, 1], B2[:, 1] = B1[:, 0], B2[:, 0]
+    return PartitionedRealization(part.A11, part.A12, part.A21, part.A22, B1, B2)
+
+
+class TestOneNormalRank:
+    """The zero tests' normal rank, read from the modes, against each system's own."""
+
+    @staticmethod
+    def pool():
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                for size in ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4)):
+                    yield _relay_part(rng, *size)
+            yield _relay_part(rng, 8, 12)
+        rng = np.random.default_rng(5)
+        for size in ((3, 2), (3, 2), (4, 3)):  # dense 4+3: 256 realizations
+            yield random_partition(rng, *size, 2)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            for size in ((3, 2), (4, 3), (5, 4)):
+                yield _one_input(_relay_part(rng, *size))
+
+    def test_modes_rank_is_each_systems_normal_rank(self, monkeypatch):
+        used = []
+
+        def recorded(*args, normal, **kwargs):
+            used.append(normal)
+            return rosenbrock_drops(*args, normal=normal, **kwargs)
+
+        monkeypatch.setattr(minreal, "rosenbrock_drops", recorded)
+        members, ranks = 0, set()
+        for part in self.pool():
+            used.clear()
+            result = minreal_pipeline(compute_dsf(part), enumerate_all=True)
+            g = result.gilbert
+            assert len(used) == 2 and used[0] is used[1]
+            for r, normal in zip(result.realizations, used[0].tolist(), strict=True):
+                full = _assemble(g, r.rstar.materialize(), range(g.l))
+                # the reference: each system's own normal rank, at its own spectrum's points
+                v_sub = StateSpace(full.A22, full.B2, full.A12, full.B1)
+                assert normal == _transfer_normal_rank(v_sub, TOL_RANK)
+                assert normal == _transfer_normal_rank(full.assemble(), TOL_RANK)
+                ranks.add(normal)
+                members += 1
+        assert members > 100 and ranks == {1, 2}
+
+    def test_given_normal_ranks_change_no_verdict(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            k, n, p, m = 3, *(int(x) for x in rng.integers(1, 5, 3))
+            A, B = rng.standard_normal((k, n, n)), rng.standard_normal((k, n, m))
+            C, D = rng.standard_normal((k, p, n)), rng.standard_normal((k, p, m))
+            B[1, :, -1], D[1, :, -1] = B[1, :, 0], D[1, :, 0]  # normal rank below min(p, m)
+            # state 0 of members 0 and 1 is decoupled: a zero at A[k, 0, 0]
+            A[:2, 0, 1:], A[:2, 1:, 0], B[:2, 0], C[:2, :, 0] = 0.0, 0.0, 0.0, 0.0
+            poles = np.linalg.eigvals(A)[:, :2]
+            normal = _normal_ranks(A, B, C, D, TOL_RANK)
+            for s in (np.concatenate([rng.standard_normal((k, 3)), poles.real], -1),
+                      np.concatenate([rng.standard_normal((k, 3)) + 1j, poles], -1)):
+                s = np.concatenate([s, A[:, :1, 0]], -1)
+                drops = rosenbrock_drops(A, B, C, D, s, normal=normal)
+                assert np.array_equal(drops, rosenbrock_drops(A, B, C, D, s))
+                assert drops[:, -1].tolist() == [True, True, False]
+
+
 class TestLapackBudget:
     """One relay op: a fixed number of stacked LAPACK calls."""
 
@@ -341,6 +419,7 @@ class TestLapackBudget:
             got[size], realized = self.counted_op(monkeypatch, part, enumerate_all)
             assert realized == (4 if enumerate_all else 1)
         # compute_dsf: eig, cond, solve; extract_modes: svd; consistency_check:
-        # eigvals twice and solve; each zero test: eigvals, solve and two svd
-        want = Counter(eig=1, cond=1, solve=4, svd=5, eigvals=4)
+        # eigvals twice and solve; each zero test: one svd, plus one svd of V
+        # for the pair, whose normal rank both tests share
+        want = Counter(eig=1, cond=1, solve=2, svd=4, eigvals=2)
         assert got[(3, 2)] == got[(5, 4)] == want

@@ -475,6 +475,29 @@ class TestBatchedZeroTests:
                         compared += len(want)
         assert compared > 1000
 
+    def test_agrees_with_per_point_reference_at_normal_rank_one(self):
+        # both inputs enter alike, so every transfer has normal rank 1 < m
+        relay_blocks = _relay_blocks()
+        rng = np.random.default_rng(4)
+        realized = 0
+        for _ in range(12):
+            for size in ((3, 2), (4, 2), (4, 3), (5, 3), (5, 4)):
+                b = relay_blocks(rng, *size, 2)
+                B1, B2 = b.B1.copy(), b.B2.copy()
+                B1[:, 1], B2[:, 1] = B1[:, 0], B2[:, 0]
+                d = compute_dsf(PartitionedRealization(b.A11, b.A12, b.A21, b.A22, B1, B2))
+                result = minreal_pipeline(d, enumerate_all=True)
+                g = result.gilbert
+                for r in result.realizations:
+                    full = _assemble(g, r.rstar.materialize(), range(g.l))
+                    want, ranks = self.reference(g, r.cancellation_flags, full)
+                    assert ranks == [1, 1]
+                    assert [(c.point, c.v_zero, c.g_zero, c.expected)
+                            for c in r.zero_checks] == want
+                    assert all(c.ok for c in r.zero_checks)
+                    realized += 1
+        assert realized > 100
+
 
 class TestStackedChecks:
     """Members of a stack are judged as the one-system calls judge them."""
