@@ -318,20 +318,27 @@ def realize(d: DSF, r: RStar, modes: GilbertData = None) -> PartitionedRealizati
 
 @dataclass
 class ZeroMatch:
-    """Zero agreement between the V-subsystem and the full realization.
+    """Zero agreement of a realization's V-subsystem (A22, B2, A12, B1).
 
     ``point`` is a cancelled pole, where a zero is expected, or the
-    complex control point, where none is.
+    complex control point, where none is.  With C = [I 0] and D = 0 the
+    identity rows of the assembled cascade's Rosenbrock matrix clear
+    A11 - sI and A21, so its rank is p plus the V-subsystem's at every
+    s, and the two transfers share one normal rank: ``g_zero``, the
+    cascade's verdict, is ``v_zero`` by construction.
     """
 
     point: complex
     v_zero: bool
-    g_zero: bool
     expected: bool
 
     @property
+    def g_zero(self) -> bool:
+        return self.v_zero
+
+    @property
     def ok(self) -> bool:
-        return self.v_zero == self.expected and self.g_zero == self.expected
+        return self.v_zero == self.expected
 
 
 @dataclass
@@ -355,43 +362,25 @@ class PipelineResult(MinimalOrder):
     realizations: list
 
 
-def _cascades(g: GilbertData, rvecs: np.ndarray):
-    """The full cascades of a stack of R* vectors, and their V-subsystems, as arrays.
-
-    Member k is ``_assemble(g, rvecs[k], range(g.l))`` bit for bit, but
-    stacked: ``_blocks`` with every mode kept.  Returns the V-subsystems
-    (A22, B2, A12, B1) and the assembled systems ([[A11, A12], [A21, A22]],
-    [B1; B2], [I 0], 0), each as stacked A, B, C, D, where a block that
-    every member shares comes once, with leading axis 1, as
-    ``rosenbrock_drops`` takes it.
-    """
-    p, l = g.p, g.l
-    A11, A12, A21, A22, B1, B2 = _blocks(g, rvecs, slice(None))
-    A = np.zeros((len(rvecs), p + l, p + l))
-    A[:, :p, :p], A[:, :p, p:], A[:, p:, :p], A[:, p:, p:] = A11, A12, A21, A22
-    return ((A22[None], B2[None], A12, B1[None]),
-            (A, np.concatenate([B1, B2])[None], np.eye(p, p + l)[None], np.zeros((1, p, g.m))))
-
-
 def _zero_point_tests(g: GilbertData, cancelled, rvecs):
     """Invariant-zero agreement at cancelled poles and a control point.
 
     ``cancelled`` and ``rvecs`` hold, for each realization of a stack,
     its cancelled poles and its materialized R*; every member cancels the
-    same number of poles.  The tests run on the full (uncancelled)
-    cascade of each R* (``_cascades``), where a removed pole persists as
-    an unobservable mode: the V-subsystem (A22, B2, A12, B1) and the
-    assembled system lose Rosenbrock rank together exactly at the
-    cancelled poles.  The control point, where neither may lose rank, is
-    0.5 (lam_0 + lam_1) + 0.5j |lam_0 - lam_1| for the two largest poles,
-    the same for every member.  It lies off the real axis, where a real
-    system has a zero only by coincidence; the real midpoint is a true
-    zero of 1/(s+1) + 1/(s+2), for one.  The cascade's G(s) is
-    (sI - W(s))^(-1) V(s), so both systems are judged against the normal
-    rank of V(s) = B1 + A12 (sI - diag(lam))^(-1) B2, read from the modes
-    at the ``off_pole_points`` of lam.  One ``rosenbrock_drops`` call
-    tests every member's V-subsystem at its own points, and one every
-    assembled system.  Returns one list of ``ZeroMatch`` per member.
+    same number of poles.  The tests run on the V-subsystem (A22, B2,
+    A12, B1) of each R*'s full (uncancelled) cascade, ``_blocks`` with
+    every mode kept, where a removed pole persists as an unobservable
+    mode: it loses Rosenbrock rank exactly at the cancelled poles.  The
+    assembled cascade needs no test of its own: its rank is p plus the
+    V-subsystem's at every s (see ``ZeroMatch``).  The control point,
+    where no zero may lie, is 0.5 (lam_0 + lam_1) + 0.5j |lam_0 - lam_1|
+    for the two largest poles, the same for every member.  It lies off
+    the real axis, where a real system has a zero only by coincidence;
+    the real midpoint is a true zero of 1/(s+1) + 1/(s+2), for one.  The
+    normal rank of V(s) = B1 + A12 (sI - diag(lam))^(-1) B2 is read from
+    the modes at the ``off_pole_points`` of lam, and one
+    ``rosenbrock_drops`` call tests every member at its own points.
+    Returns one list of ``ZeroMatch`` per member.
     """
     control = []
     if g.l >= 2:
@@ -401,15 +390,13 @@ def _zero_point_tests(g: GilbertData, cancelled, rvecs):
     if not points[0]:
         return [[] for _ in cancelled]
     expected = [True] * (len(points[0]) - len(control)) + [False] * len(control)
-    at = np.array(points)
-    cascades = _cascades(g, np.array(rvecs))
-    _, B2, A12, B1 = cascades[0]
+    _, A12, _, A22, B1, B2 = _blocks(g, np.array(rvecs), slice(None))
     V = B1 + (A12[:, None] / (off_pole_points(g.lam, 8)[:, None, None] - g.lam)) @ B2
     normal = numerical_rank(np.linalg.svd(V, compute_uv=False), g.tol_rank).max(axis=-1)
-    v_zero, g_zero = (rosenbrock_drops(*systems, at, g.tol_rank, normal=normal)
-                      for systems in cascades)
-    return [[ZeroMatch(*check) for check in zip(pts, v.tolist(), z.tolist(), expected)]
-            for pts, v, z in zip(points, v_zero, g_zero)]
+    v_zero = rosenbrock_drops(A22[None], B2[None], A12, B1[None], np.array(points), g.tol_rank,
+                              normal=normal)
+    return [[ZeroMatch(*check) for check in zip(pts, v.tolist(), expected)]
+            for pts, v in zip(points, v_zero)]
 
 
 def minreal_pipeline(d: DSF, *, enumerate_all: bool = False, tol_rank: float = TOL_RANK,

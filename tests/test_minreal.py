@@ -1,5 +1,7 @@
 """Mode extraction, clique search, R* construction, and realization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from dsfmin import (
     RStar,
     boolean_structure,
     cancellation_check,
+    cli,
     compatibility_graph,
     compute_dsf,
     consistency_check,
@@ -474,6 +477,34 @@ class TestBatchedZeroTests:
                             full.assemble())] == ranks
                         compared += len(want)
         assert compared > 1000
+
+    def test_measured_state_units_leave_the_v_test_alone(self, tmp_path, capsys):
+        # the ledger row test_measured_state_units_keep_zero_checks, third 3+2
+        # draw, third scaling: the assembled cascade's own Rosenbrock test saw
+        # a zero at the control point, where the V-subsystem's sees none
+        relay_blocks = _relay_blocks()
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            b = relay_blocks(rng, 3, 2, 2)
+            scalings = [10.0 ** rng.uniform(-4.0, 4.0, b.p) for _ in range(3)]
+        t = scalings[2]
+        assert np.allclose(t, [4.754e-4, 10.11, 1.441e-4], rtol=1e-3)
+        part = PartitionedRealization(t[:, None] * b.A11 / t, t[:, None] * b.A12, b.A21 / t,
+                                      b.A22, t[:, None] * b.B1, b.B2)
+        result = minreal_pipeline(compute_dsf(part))
+        g, r = result.gilbert, result.realizations[0]
+        assert r.consistent
+        want, _ = self.reference(g, r.cancellation_flags,
+                                 _assemble(g, r.rstar.materialize(), range(g.l)))
+        assert [(c.point, c.v_zero, c.expected) for c in r.zero_checks] == [
+            (point, v_zero, expected) for point, v_zero, _, expected in want]
+        assert all(c.ok for c in r.zero_checks) and len(r.zero_checks) == 4
+        ss = part.assemble()
+        path = tmp_path / "units.json"
+        path.write_text(json.dumps({"kind": "state_space", "A": ss.A.tolist(),
+                                    "B": ss.B.tolist(), "p": 3}))
+        assert cli.main(["minreal", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert "zero agreement at cancelled poles: PASS" in capsys.readouterr().out
 
     def test_agrees_with_per_point_reference_at_normal_rank_one(self):
         # both inputs enter alike, so every transfer has normal rank 1 < m

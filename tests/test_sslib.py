@@ -19,9 +19,9 @@ from dsfmin import (
 from dsfmin import sslib
 from dsfmin.errors import RankDeficientC, ShapeMismatch
 from dsfmin.ratcore import S_POLY, Polynomial
-from dsfmin.sslib import PartitionedRealization, transfer_from_blocks
+from dsfmin.sslib import TOL_RANK, PartitionedRealization, numerical_rank, transfer_from_blocks
 
-from conftest import EX2_E_DIRECTIONS, ZERO, ex1_matrices, rmat
+from conftest import EX2_E_DIRECTIONS, ZERO, ex1_matrices, random_partition, rmat
 from test_dsf import _relay_blocks
 
 
@@ -320,6 +320,71 @@ class TestInvariantZero:
         assert normal_rank(tall) == 1
         wide = rmat([[([1], [1, 1]), ZERO], [ZERO, ([1], [2, 1])]])
         assert normal_rank(wide) == 2
+
+
+class TestCascadeZeroIdentity:
+    """With C = [I 0] and D = 0, rank M_G(s) = p + rank M_V(s) at every s.
+
+    M_G is the Rosenbrock matrix of the assembled system, M_V that of its
+    V-subsystem (A22, B2, A12, B1): the identity rows clear A11 - sI and
+    A21, so the two systems have the same invariant zeros, whatever A11
+    and A21 are.
+    """
+
+    @staticmethod
+    def partitions():
+        """Well-scaled partitions, some with a planted output-decoupling zero.
+
+        Hidden state k with a zero column of A12 and A22 e_k = A22[k, k] e_k
+        is unobservable in both systems: a zero at the rate A22[k, k].
+        """
+        rng = np.random.default_rng(34)
+        relay_blocks = _relay_blocks()
+        for size in ((2, 1), (3, 2), (4, 3), (3, 4)):
+            for plant in (False, True):
+                parts = [random_partition(rng, *size, 2)]
+                b = relay_blocks(rng, *size, 2)
+                parts.append(PartitionedRealization(b.A11, b.A12, b.A21, b.A22, b.B1, b.B2))
+                for part in parts:
+                    if plant:
+                        A12, A22 = part.A12.copy(), part.A22.copy()
+                        A12[:, 0] = 0.0
+                        A22[1:, 0] = 0.0
+                        part = PartitionedRealization(part.A11, A12, part.A21, A22,
+                                                      part.B1, part.B2)
+                    yield rng, part, plant
+
+    @staticmethod
+    def rosenbrock(ss, s):
+        return np.block([[ss.A - s * np.eye(ss.n), ss.B], [ss.C, ss.D]])
+
+    def test_cascade_and_v_subsystem_share_their_zeros(self):
+        gaps = planted = 0
+        for rng, part, plant in self.partitions():
+            v_sub = StateSpace(part.A22, part.B2, part.A12, part.B1)
+            points = np.concatenate([np.linalg.eigvals(part.A22),
+                                     rng.uniform(-10.0, 0.0, 4) + 1j * rng.uniform(-3.0, 3.0, 4)])
+            v_zero = is_invariant_zero(v_sub, points)
+            assert np.array_equal(is_invariant_zero(part.assemble(), points), v_zero)
+            if plant:
+                assert is_invariant_zero(v_sub, part.A22[0, 0])
+                assert is_invariant_zero(part.assemble(), part.A22[0, 0])
+                planted += 1
+            # any A11 and A21 leave both verdicts where they were
+            other = PartitionedRealization(rng.standard_normal((part.p, part.p)), part.A12,
+                                           rng.standard_normal((part.h, part.p)), part.A22,
+                                           part.B1, part.B2)
+            assert np.array_equal(is_invariant_zero(other.assemble(), points), v_zero)
+            for s in points:
+                svs = [np.linalg.svd(self.rosenbrock(ss, s), compute_uv=False)
+                       for ss in (v_sub, part.assemble(), other.assemble())]
+                # a clear gap: no singular value within a factor 1e4 of the threshold
+                if all(np.all((sv > 1e4 * TOL_RANK * sv[0]) | (sv < 1e-4 * TOL_RANK * sv[0]))
+                       for sv in svs):
+                    v_rank, *g_ranks = (numerical_rank(sv, TOL_RANK) for sv in svs)
+                    assert g_ranks == [part.p + v_rank] * 2
+                    gaps += 1
+        assert planted == 8 and gaps > 90
 
 
 class TestSchurIdentity:
